@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import babymonster, extremal, invariants, lattices, modrep, qseries
 from .qseries import GRID, QSeries
@@ -42,11 +43,17 @@ def _default_order():
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="svoa", description=__doc__.splitlines()[0])
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--order", type=int, default=None,
-                   help="truncation order in powers of q (default %d, or "
-                        "SVOA_ORDER)" % _default_order())
-    sub = p.add_subparsers(dest="command", required=True)
+    # every subcommand accepts the global flags too; SUPPRESS keeps an absent
+    # one from overriding the value given before the subcommand
+    common = _Parser(add_help=False)
+    for parser, default in ((p, None), (common, argparse.SUPPRESS)):
+        parser.add_argument("--format", choices=("text", "json"),
+                            default=default or "text")
+        parser.add_argument("--order", type=int, default=default,
+                            help="truncation order in powers of q (default "
+                                 "%d, or SVOA_ORDER)" % _default_order())
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=partial(_Parser, parents=[common]))
 
     s = sub.add_parser("series", help="standard q-expansion from the catalog")
     s.add_argument("name", help="one of: %s" % ", ".join(qseries.standard_names()))

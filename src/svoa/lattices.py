@@ -1,19 +1,21 @@
-"""Exact theta series of the catalog lattices by bounded coset enumeration,
+"""Exact theta series of the catalog lattices by coordinate-coset counting,
 and the associated lattice-SVOA characters theta/eta^n.
 
-Lattices are built in ambient integer or half-integer coordinates, then
-reduced to a basis Gram matrix plus rational glue (coset representative)
-coordinates.  Enumeration uses the exact rational analogue of the
-Cholesky/Fincke-Pohst recursion: no floating point anywhere, integer
-square roots give safe interval bounds and every accepted vector is
-re-checked with exact arithmetic.
+Every catalog lattice except Leech (closed form) is a union of cosets, each
+a product of blocks (n, a, m): the vectors of (Z + a)^n whose coordinate
+sum is 0 mod m, where m = 1 means no condition and m = 0 a zero sum
+(Conway & Sloane, SPLAG ch. 4 and 7).  A block is counted coordinate by
+coordinate over (norm, sum) states in exact integers, polynomially in the
+order.  The basis Gram matrix and glue are built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
+from typing import Callable
 
 from .qseries import GRID, QSeries, E4, delta, eta
 
@@ -26,19 +28,29 @@ class EnumerationBudgetError(RuntimeError):
 class Lattice:
     name: str
     dim: int
-    gram: tuple          # dim x dim symmetric, Fractions
-    glue: tuple          # coset representatives in basis coordinates (incl. 0)
+    cosets: tuple        # union of products of (n, a, m) blocks
+    build: Callable = field(repr=False, compare=False)   # -> (gram, glue)
+
+    @cached_property
+    def _gram_glue(self):
+        return self.build()
+
+    @property
+    def gram(self) -> tuple:
+        """dim x dim symmetric basis Gram matrix, Fractions."""
+        return self._gram_glue[0]
+
+    @property
+    def glue(self) -> tuple:
+        """Coset representatives in basis coordinates (incl. 0)."""
+        return self._gram_glue[1]
 
     def determinant(self) -> Fraction:
-        return _det_fraction([list(r) for r in self.gram])
+        return _gauss_jordan(self.gram)[0]
 
     def is_positive_definite(self) -> bool:
-        rows = [list(r) for r in self.gram]
-        for k in range(1, self.dim + 1):
-            minor = [row[:k] for row in rows[:k]]
-            if _det_fraction(minor) <= 0:
-                return False
-        return True
+        return all(_gauss_jordan([row[:k] for row in self.gram[:k]])[0] > 0
+                   for k in range(1, self.dim + 1))
 
     def glue_norms(self):
         return [_form_value(self.gram, g) for g in self.glue]
@@ -49,24 +61,28 @@ class Lattice:
                 "glue": [[str(x) for x in g] for g in self.glue]}
 
 
-def _det_fraction(rows):
+def _gauss_jordan(rows, rhs=()):
+    """(det, solutions): the determinant of the square matrix `rows` and,
+    when it is nonzero, the solution x of rows x = b for each b in `rhs`."""
     n = len(rows)
-    rows = [[Fraction(x) for x in r] for r in rows]
+    m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in rhs]
+         for i, row in enumerate(rows)]
     det = Fraction(1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+            m[col], m[piv] = m[piv], m[col]
             det = -det
-        det *= rows[col][col]
-        inv_p = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv_p
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
+        p = m[col][col]
+        det *= p
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det, [[m[i][n + j] for i in range(n)] for j in range(len(rhs))]
 
 
 def _form_value(gram, v):
@@ -80,52 +96,29 @@ def _form_value(gram, v):
     return acc
 
 
-# -- catalog construction in ambient coordinates -----------------------------------
+# -- Gram matrix and glue from ambient coordinates ---------------------------------
 
 
-def _from_ambient(name, basis, glue_ambient) -> Lattice:
-    """Build gram and basis-coordinate glue from ambient row vectors."""
+def _from_ambient(basis, glue_ambient):
+    """Gram matrix and basis-coordinate glue of ambient row vectors."""
     dim = len(basis)
     gram = [[sum(Fraction(x) * Fraction(y) for x, y in zip(bi, bj))
              for bj in basis] for bi in basis]
+    rhs = [[sum(Fraction(x) * Fraction(y) for x, y in zip(g, bi))
+            for bi in basis] for g in glue_ambient]
     glue = []
-    for g in glue_ambient:
-        rhs = [sum(Fraction(x) * Fraction(y) for x, y in zip(g, bi))
-               for bi in basis]
-        mu = _solve_sym(gram, rhs)
+    for g, mu in zip(glue_ambient, _gauss_jordan(gram, rhs)[1]):
         # confirm g lies in the rational span of the basis
         recon = [sum(mu[i] * Fraction(basis[i][t]) for i in range(dim))
                  for t in range(len(basis[0]))]
         if recon != [Fraction(x) for x in g]:
             raise ValueError("glue vector %s outside the basis span" % (g,))
         glue.append(tuple(mu))
-    return Lattice(name=name, dim=dim,
-                   gram=tuple(tuple(row) for row in gram), glue=tuple(glue))
-
-
-def _solve_sym(gram, rhs):
-    n = len(rhs)
-    rows = [[Fraction(x) for x in gram[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv_p = 1 / rows[col][col]
-        rows[col] = [x * inv_p for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
-
-
-def _unit(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
+    return tuple(tuple(row) for row in gram), tuple(glue)
 
 
 def _z_lattice(n):
-    return [_unit(n, i) for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _d_basis(n):
@@ -159,43 +152,58 @@ def _e7_basis():
     return basis
 
 
+# -- catalog -----------------------------------------------------------------------
+
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
+# E7 = (Z^8 u (Z+1/2)^8) at sum zero; its nonzero dual class is (Z +- 1/4)^8
+_E7 = (((8, 0, 0),), ((8, _HALF, 0),))
+_E7_GLUE = (((8, _QUARTER, 0),), ((8, 3 * _QUARTER, 0),))
+
+
 def lattice_catalog(name: str) -> Lattice:
     """Catalog lookup: Zn, Dn, Dn+, E8, E7, E7E7+, A15+, D12+, Leech."""
     key = name.strip()
     if key == "Leech":
-        # theta is formula-backed; no enumeration data needed
-        return Lattice(name="Leech", dim=24, gram=(), glue=((),))
+        # theta is formula-backed; no coordinate data needed
+        return Lattice("Leech", 24, (), lambda: ((), ((),)))
     if key.startswith("Z") and key[1:].isdigit():
         n = int(key[1:])
         if n < 1:
             raise ValueError("Zn needs n >= 1")
-        return _from_ambient(key, _z_lattice(n), [[0] * n])
+        return Lattice(key, n, (((n, 0, 1),),),
+                       lambda: _from_ambient(_z_lattice(n), [[0] * n]))
     if key.startswith("D") and key.endswith("+") and key[1:-1].isdigit():
         n = int(key[1:-1])
         if n % 4 != 0:
             raise ValueError("Dn+ is integral only for n divisible by 4")
-        half = [Fraction(1, 2)] * n
-        return _from_ambient(key, _d_basis(n), [[0] * n, half])
+        return Lattice(key, n, (((n, 0, 2),), ((n, _HALF, 2),)),
+                       lambda: _from_ambient(_d_basis(n),
+                                             [[0] * n, [_HALF] * n]))
     if key.startswith("D") and key[1:].isdigit():
         n = int(key[1:])
         if n < 2:
             raise ValueError("Dn needs n >= 2")
-        return _from_ambient(key, _d_basis(n), [[0] * n])
+        return Lattice(key, n, (((n, 0, 2),),),
+                       lambda: _from_ambient(_d_basis(n), [[0] * n]))
     if key == "E8":
         return lattice_catalog("D8+")
     if key == "E7":
-        return _from_ambient("E7", _e7_basis(), [[0] * 8])
+        return Lattice("E7", 7, _E7,
+                       lambda: _from_ambient(_e7_basis(), [[0] * 8]))
     if key == "E7E7+":
-        b7 = _e7_basis()
-        basis = [list(b) + [0] * 8 for b in b7] + [[0] * 8 + list(b) for b in b7]
-        g2 = _a_glue(7, 2)
-        return _from_ambient("E7E7+", basis,
-                             [[0] * 16, [Fraction(x) for x in g2 + g2]])
+        def build():
+            b7 = _e7_basis()
+            basis = ([list(b) + [0] * 8 for b in b7]
+                     + [[0] * 8 + list(b) for b in b7])
+            return _from_ambient(basis, [[0] * 16, _a_glue(7, 2) * 2])
+        cosets = tuple(x + y for x in _E7 for y in _E7)
+        cosets += tuple(x + y for x in _E7_GLUE for y in _E7_GLUE)
+        return Lattice("E7E7+", 14, cosets, build)
     if key == "A15+":
-        basis = _a_basis(15)
-        glue = [[0] * 16] + [[Fraction(x) for x in _a_glue(15, j)]
-                             for j in (4, 8, 12)]
-        return _from_ambient("A15+", basis, glue)
+        return Lattice("A15+", 15,
+                       tuple(((16, Fraction(j, 16), 0),) for j in (0, 4, 8, 12)),
+                       lambda: _from_ambient(_a_basis(15), [[0] * 16] + [
+                           _a_glue(15, j) for j in (4, 8, 12)]))
     raise ValueError("unknown lattice %r" % name)
 
 
@@ -203,116 +211,87 @@ def lattice_names():
     return ["Zn", "Dn", "Dn+", "E8", "E7", "E7E7+", "A15+", "D12+", "Leech"]
 
 
-# -- exact enumeration ---------------------------------------------------------------
+# -- exact counting ----------------------------------------------------------------
 
 
-def _fincke_pohst_form(gram):
-    """Rewrite the form as sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2."""
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
+def _charge(counter, work, budget):
+    counter[0] += work
+    if counter[0] > budget:
+        raise EnumerationBudgetError("enumeration budget exceeded")
 
 
-def _enumerate_coset(q, mu, norm_max: Fraction, counter, budget):
-    """Count lattice-plus-glue vectors with form value <= norm_max, grouped
-    by value (returned scaled by M, with M in the result tuple).
+def _block_counts(block, d, norm_max, counter, budget):
+    """{d^2 x.x: count} over x in (Z + a)^n with sum(x) = 0 mod m (m = 0:
+    sum(x) = 0) and d^2 x.x <= norm_max.
 
-    All hot-loop arithmetic is exact machine-integer: coordinates are scaled
-    by SCALE (clearing the cross-term and glue denominators twice over) and
-    form values by M = SCALE^2 * lcm of the diagonal denominators.
-    shifts[j] carries SCALE*(mu_j + sum_k q[j][k] x_k) over the fixed outer
-    coordinates x_k = t_k + mu_k.
+    Coordinates are x_i = k_i + a, so d x_i = d k_i + d a is an integer and
+    the condition is sum(k) = -n a mod m.  States after each coordinate are
+    {sum(k) (mod m): {scaled norm: count}}.
     """
-    from math import lcm
+    n, a, m = block
+    da = int(d * a)
+    r = isqrt(norm_max)
+    terms = [(k, (d * k + da) ** 2)
+             for k in range(-((r + da) // d), (r - da) // d + 1)]
+    states = {0: {0: 1}}
+    for _ in range(n):
+        _charge(counter, len(terms) * sum(map(len, states.values())), budget)
+        new = {}
+        for z, row in states.items():
+            for k, y2 in terms:
+                z2 = (z + k) % m if m else z + k
+                dest = new.setdefault(z2, {})
+                lim = norm_max - y2
+                for norm, cnt in row.items():
+                    if norm <= lim:
+                        dest[norm + y2] = dest.get(norm + y2, 0) + cnt
+        states = new
+    target = int(-n * a)
+    return states.get(target % m if m else target, {})
 
-    n = len(q)
-    base = [Fraction(x) for x in mu]
-    d = 1
-    for i in range(n):
-        d = lcm(d, base[i].denominator)
-        for j in range(i + 1, n):
-            d = lcm(d, q[i][j].denominator)
-    scale = d * d
-    diag_lcm = 1
-    for i in range(n):
-        diag_lcm = lcm(diag_lcm, q[i][i].denominator)
-    m_total = scale * scale * diag_lcm
-    # used_M = fdiag[i] * Y^2 with Y the SCALE-scaled offset coordinate
-    fdiag = [q[i][i].numerator * (diag_lcm // q[i][i].denominator)
-             for i in range(n)]
-    qcross = [[int(q[j][i] * scale) for i in range(n)] for j in range(n)]
-    norm_max_m = int(norm_max * m_total)
-    counts = {}
 
-    shifts0 = []
-    for j in range(n):
-        s = base[j]
-        for k in range(j + 1, n):
-            s += q[j][k] * base[k]
-        s *= scale
-        assert s.denominator == 1
-        shifts0.append(int(s))
-
-    def rec(i, rem, shifts):
-        if counter[0] > budget:
-            raise EnumerationBudgetError("enumeration budget exceeded")
-        si = shifts[i]
-        fi = fdiag[i]
-        # used = fi * Y^2 with Y = scale*t + si, so |Y| <= sqrt(rem/fi)
-        ybound = isqrt(rem * fi) // fi + 1
-        tlo = (-ybound - si + scale - 1) // scale
-        thi = (ybound - si) // scale
-        counter[0] += thi - tlo + 1
-        for t in range(tlo, thi + 1):
-            y = scale * t + si
-            used = fi * y * y
-            if used > rem:
-                continue
-            if i == 0:
-                key = norm_max_m - (rem - used)
-                counts[key] = counts.get(key, 0) + 1
-            else:
-                inner = list(shifts)
-                for j in range(i):
-                    inner[j] += qcross[j][i] * t
-                rec(i - 1, rem - used, inner)
-
-    rec(n - 1, norm_max_m, shifts0)
-    return counts, m_total
+def _mul_truncated(x, y, norm_max, counter, budget):
+    _charge(counter, len(x) * len(y), budget)
+    out = {}
+    for nx, cx in x.items():
+        for ny, cy in y.items():
+            if nx + ny <= norm_max:
+                out[nx + ny] = out.get(nx + ny, 0) + cx * cy
+    return out
 
 
 def theta_series(L: Lattice, trunc=None, budget=20_000_000) -> QSeries:
     """Theta series sum over lattice vectors of q^(norm/2), exact integers.
 
-    The default truncation q^5 corresponds to the norm bound 10 of the
-    bounded search; the Leech entry dispatches to its closed form instead
-    of enumerating in dimension 24.
+    Counts every vector of norm below 2 * trunc / GRID (default trunc
+    q^5) coset by coset; `budget` caps the (state x term) products of the
+    count, beyond which EnumerationBudgetError is raised.  The Leech entry
+    dispatches to its closed form.
     """
     if trunc is None:
         trunc = 5 * GRID
     if L.name == "Leech":
         t = max(trunc, 2 * GRID)
         return (E4(t) ** 3 - delta(t).scale(720)).truncate(trunc)
-    norm_max = Fraction(2 * (trunc - 1), GRID)
-    q = _fincke_pohst_form([list(r) for r in L.gram])
+    d = lcm(*(Fraction(a).denominator
+              for coset in L.cosets for _, a, _ in coset))
+    d2 = d * d
+    # q^(x.x/2) sits at grid index 24 x.x, which must stay below trunc
+    norm_max = d2 * (trunc - 1) // 24
     counter = [0]
+    blocks = {}
     acc = {}
-    for g in L.glue:
-        counts, m_total = _enumerate_coset(q, list(g), norm_max, counter, budget)
-        for norm_m, cnt in counts.items():
-            if (norm_m * 24) % m_total:
+    for coset in L.cosets:
+        counts = {0: 1}
+        for block in coset:
+            if block not in blocks:
+                blocks[block] = _block_counts(block, d, norm_max, counter, budget)
+            counts = _mul_truncated(counts, blocks[block], norm_max, counter, budget)
+        for norm, cnt in counts.items():
+            if (norm * 24) % d2:
                 raise ValueError("norm %s off the exponent grid"
-                                 % Fraction(norm_m, m_total))
-            idx = norm_m * 24 // m_total
+                                 % Fraction(norm, d2))
+            idx = norm * 24 // d2
             acc[idx] = acc.get(idx, 0) + cnt
     return QSeries(acc, trunc)
 

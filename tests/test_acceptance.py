@@ -394,7 +394,7 @@ def test_criterion_11_verlinde():
 def test_criterion_12_lattices():
     assert theta_series(lattice_catalog("E8"), 240).agrees_with(qs.E4(240))
     for name, c in (("D12+", 12), ("E7E7+", 14), ("A15+", 15)):
-        trunc = int(-2 * F(c)) + 3 * GRID + 1
+        trunc = int(-2 * F(c)) + 10 * GRID + 1
         x = svoa_character(lattice_catalog(name), trunc)
         assert x.first_difference(_svoa(c).series, upto=trunc) is None, name
 

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, exit codes, golden rows."""
 
 import json
+import os
+import shlex
 
 import pytest
 
@@ -159,3 +161,27 @@ def test_order_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SVOA_ORDER", "2")
     code, out, _ = run(capsys, "series", "j")
     assert out.strip() == "q^-1 + 744 + 196884 q"
+
+
+def _readme_examples():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        lines = [line.split("#")[0].strip() for line in fh]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("svoa ")]
+
+
+def test_readme_examples_exit_zero(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 12
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err, argv
+
+
+def test_global_flags_after_subcommand(capsys):
+    _, first, _ = run(capsys, "--format", "json", "--order", "6", "series", "j")
+    _, after, _ = run(capsys, "series", "j", "--order", "6", "--format", "json")
+    _, mixed, _ = run(capsys, "--order", "2", "series", "j", "--format", "json",
+                      "--order", "6")
+    assert first == after == mixed
+    assert QSeries.from_json(json.loads(first)).trunc == 6 * 48

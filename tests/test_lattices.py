@@ -1,13 +1,126 @@
-"""Lattice catalog, exact theta enumeration, lattice-theory characters."""
+"""Lattice catalog, exact theta counting, lattice-theory characters."""
 
+import time
 from fractions import Fraction as F
+from math import isqrt, lcm
 
 import pytest
 
+from svoa.cli import main
 from svoa.extremal import extremal_svoa, orbifold_character
 from svoa.lattices import (EnumerationBudgetError, lattice_catalog,
                            svoa_character, theta_series)
-from svoa.qseries import GRID, E4, j_function
+from svoa.qseries import GRID, E4, QSeries, j_function
+
+
+# -- Fincke-Pohst oracle: bounded enumeration from the Gram matrix and glue ----------
+
+
+def _fincke_pohst_form(gram):
+    """Rewrite the form as sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2."""
+    n = len(gram)
+    q = [[F(x) for x in row] for row in gram]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("Gram matrix is not positive definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    return q
+
+
+def _enumerate_coset(q, mu, norm_max):
+    """Count lattice-plus-glue vectors with form value <= norm_max, grouped
+    by value (returned scaled by M, with M in the result tuple).
+
+    All hot-loop arithmetic is exact machine-integer: coordinates are scaled
+    by SCALE (clearing the cross-term and glue denominators twice over) and
+    form values by M = SCALE^2 * lcm of the diagonal denominators.
+    shifts[j] carries SCALE*(mu_j + sum_k q[j][k] x_k) over the fixed outer
+    coordinates x_k = t_k + mu_k.
+    """
+    n = len(q)
+    base = [F(x) for x in mu]
+    d = 1
+    for i in range(n):
+        d = lcm(d, base[i].denominator)
+        for j in range(i + 1, n):
+            d = lcm(d, q[i][j].denominator)
+    scale = d * d
+    diag_lcm = 1
+    for i in range(n):
+        diag_lcm = lcm(diag_lcm, q[i][i].denominator)
+    m_total = scale * scale * diag_lcm
+    # used_M = fdiag[i] * Y^2 with Y the SCALE-scaled offset coordinate
+    fdiag = [q[i][i].numerator * (diag_lcm // q[i][i].denominator)
+             for i in range(n)]
+    qcross = [[int(q[j][i] * scale) for i in range(n)] for j in range(n)]
+    norm_max_m = int(norm_max * m_total)
+    counts = {}
+
+    shifts0 = []
+    for j in range(n):
+        s = base[j]
+        for k in range(j + 1, n):
+            s += q[j][k] * base[k]
+        s *= scale
+        assert s.denominator == 1
+        shifts0.append(int(s))
+
+    def rec(i, rem, shifts):
+        si = shifts[i]
+        fi = fdiag[i]
+        # used = fi * Y^2 with Y = scale*t + si, so |Y| <= sqrt(rem/fi)
+        ybound = isqrt(rem * fi) // fi + 1
+        tlo = (-ybound - si + scale - 1) // scale
+        thi = (ybound - si) // scale
+        for t in range(tlo, thi + 1):
+            y = scale * t + si
+            used = fi * y * y
+            if used > rem:
+                continue
+            if i == 0:
+                key = norm_max_m - (rem - used)
+                counts[key] = counts.get(key, 0) + 1
+            else:
+                inner = list(shifts)
+                for j in range(i):
+                    inner[j] += qcross[j][i] * t
+                rec(i - 1, rem - used, inner)
+
+    rec(n - 1, norm_max_m, shifts0)
+    return counts, m_total
+
+
+def _oracle_theta(L, trunc):
+    norm_max = F(2 * (trunc - 1), GRID)
+    q = _fincke_pohst_form([list(r) for r in L.gram])
+    acc = {}
+    for g in L.glue:
+        counts, m_total = _enumerate_coset(q, list(g), norm_max)
+        for norm_m, cnt in counts.items():
+            assert (norm_m * 24) % m_total == 0
+            idx = norm_m * 24 // m_total
+            acc[idx] = acc.get(idx, 0) + cnt
+    return QSeries(acc, trunc)
+
+
+ORACLE_CASES = ([(name, 3 * GRID) for name in
+                 ("Z1", "Z2", "Z3", "Z4", "Z5", "D2", "D3", "D4", "D5", "D6",
+                  "D4+", "D8+", "E8", "D12+", "E7", "E7E7+", "A15+")]
+                + [("D16+", 2 * GRID)])
+
+
+@pytest.mark.parametrize("name,trunc", ORACLE_CASES)
+def test_theta_matches_fincke_pohst_oracle(name, trunc):
+    L = lattice_catalog(name)
+    th = theta_series(L, trunc)
+    expect = _oracle_theta(L, trunc)
+    assert th.trunc == expect.trunc
+    assert th.coeffs == expect.coeffs
 
 
 def test_catalog_Z1():
@@ -91,13 +204,27 @@ def test_budget_guard():
         theta_series(lattice_catalog("D12+"), 400, budget=50)
 
 
+def test_large_dimension_is_fast():
+    start = time.perf_counter()
+    th = theta_series(lattice_catalog("Z200"), 2 * GRID)
+    assert th == theta_series(lattice_catalog("Z1"), 2 * GRID) ** 200
+    assert time.perf_counter() - start < 1
+
+
+def test_huge_order_fails_fast(capsys):
+    start = time.perf_counter()
+    assert main(["--order", "100000", "theta", "--lattice", "A15+"]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
+
+
 CROSS_CHECKS = [("D12+", 12), ("E7E7+", 14), ("A15+", 15)]
 
 
 @pytest.mark.parametrize("name,c", CROSS_CHECKS)
 def test_svoa_character_matches_extremal(name, c):
     L = lattice_catalog(name)
-    trunc = int(-2 * F(c)) + 3 * GRID + 1  # through q^3 past the leading term
+    trunc = int(-2 * F(c)) + 10 * GRID + 1  # through q^10 past the leading term
     x = svoa_character(L, trunc)
     sol = extremal_svoa(c)
     assert x.first_difference(sol.series, upto=trunc) is None
