@@ -27,18 +27,29 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _rank(text) -> Fraction:
+def _rational(text) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("invalid rank %r (use p or p/q)" % text)
+        raise argparse.ArgumentTypeError("invalid number %r (use p or p/q)" % text)
 
 
-def _default_order():
-    env = os.environ.get("SVOA_ORDER")
-    if env:
-        return int(env)
-    return qseries.DEFAULT_TRUNC // GRID
+def _rank(text) -> Fraction:
+    c = _rational(text)
+    if (2 * c).denominator != 1:
+        raise argparse.ArgumentTypeError("rank %s is not half-integral" % c)
+    return c
+
+
+def _order(text) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise argparse.ArgumentTypeError(
+            "invalid order %r (--order or SVOA_ORDER must be an integer >= 1)" % text)
+    return order
 
 
 def _build_parser() -> _Parser:
@@ -46,19 +57,23 @@ def _build_parser() -> _Parser:
     # every subcommand accepts the global flags too; SUPPRESS keeps an absent
     # one from overriding the value given before the subcommand
     common = _Parser(add_help=False)
+    # argparse runs _order on a string default (SVOA_ORDER) only after the
+    # arguments, so --help still works with a bad value
+    order = qseries.DEFAULT_TRUNC // GRID
+    env_order = os.environ.get("SVOA_ORDER") or order
     for parser, default in ((p, None), (common, argparse.SUPPRESS)):
         parser.add_argument("--format", choices=("text", "json"),
                             default=default or "text")
-        parser.add_argument("--order", type=int, default=default,
+        parser.add_argument("--order", type=_order, default=default or env_order,
                             help="truncation order in powers of q (default "
-                                 "%d, or SVOA_ORDER)" % _default_order())
+                                 "%d, or SVOA_ORDER)" % order)
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=partial(_Parser, parents=[common]))
 
     s = sub.add_parser("series", help="standard q-expansion from the catalog")
     s.add_argument("name", help="one of: %s" % ", ".join(qseries.standard_names()))
     s.add_argument("--rank", type=_rank, default=None)
-    s.add_argument("--weight", type=_rank, default=None)
+    s.add_argument("--weight", type=_rational, default=None)
 
     for cmd in ("extremal-voa", "extremal-svoa"):
         e = sub.add_parser(cmd, help="extremal character and normal form")
@@ -105,18 +120,6 @@ def _emit_series(x: QSeries, fmt: str):
         print(str(x))
 
 
-def _trunc(args) -> int:
-    order = args.order if args.order is not None else _default_order()
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return order * GRID
-
-
-def _fmt_exp(n: int) -> str:
-    e = Fraction(n, GRID)
-    return str(e)
-
-
 def _solution_lines(sol):
     rows = ["rank %s  kind %s  k=%d" % (sol.c, sol.kind, sol.k),
             "a = [%s]" % ", ".join(str(x) for x in sol.a),
@@ -155,12 +158,18 @@ def _verdict_line(v) -> str:
 
 
 def run(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     fmt = args.format
     cmd = args.command
+    trunc = args.order * GRID
+    if cmd == "classify" and not 0 <= args.cfrom <= args.cto <= args.cmax:
+        parser.error("classify needs 0 <= --from <= --to <= --max")
+    if cmd == "molien" and args.deg < 0:
+        parser.error("molien needs --deg >= 0")
 
     if cmd == "series":
-        x = qseries.standard_series(args.name, _trunc(args), c=args.rank,
+        x = qseries.standard_series(args.name, trunc, c=args.rank,
                                     h=args.weight)
         _emit_series(x, fmt)
 
@@ -216,7 +225,7 @@ def run(argv) -> int:
         sectors = (args.sector,) if args.sector is not None else (0, 1, 2)
         out = {}
         for l in sectors:
-            out[l] = babymonster.baby_character(l, _trunc(args))
+            out[l] = babymonster.baby_character(l, trunc)
         if fmt == "json":
             print(json.dumps({str(l): x.to_json() for l, x in out.items()}))
         else:
@@ -249,14 +258,14 @@ def run(argv) -> int:
 
     elif cmd == "theta":
         L = lattices.lattice_catalog(args.lattice)
-        th = lattices.theta_series(L, _trunc(args))
+        th = lattices.theta_series(L, trunc)
         _emit_series(th, fmt)
 
     elif cmd == "orbifold":
         L = lattices.lattice_catalog(args.lattice)
-        th = lattices.theta_series(L, _trunc(args))
+        th = lattices.theta_series(L, trunc)
         x = extremal.orbifold_character(th, L.dim)
-        _emit_series(x.truncate(-2 * L.dim + _trunc(args)), fmt)
+        _emit_series(x.truncate(-2 * L.dim + trunc), fmt)
 
     return 0
 

@@ -7,7 +7,10 @@ coordinate vector over the power basis 1, z, ..., z^15 (z = exp(2 pi i/48))
 together with a common positive denominator, reduced modulo
 Phi_48(x) = x^16 - x^8 + 1 and normalized with gcd(content, den) = 1.
 The representation is canonical, so equality is coordinate equality and
-elements can be hashed (matrix-group closure relies on this).
+elements can be hashed (matrix-group closure relies on this).  Inversion
+uses the Galois norm: the conjugates sigma_k (zeta -> zeta^k, k a unit
+mod 48) permute the 48 powers of zeta, and a times the product of its 15
+nontrivial conjugates is the rational norm N(a).
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from fractions import Fraction
 from math import gcd
 
 DEGREE = 16  # degree of Phi_48
+# k with zeta -> zeta^k a nontrivial automorphism: the units mod 48 except 1
+_UNITS = tuple(k for k in range(2, 48) if gcd(k, 48) == 1)
 
 
 def _reduce(vec):
@@ -135,26 +140,20 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_48."""
+        """Multiplicative inverse via the Galois norm: with P the product of
+        the conjugates sigma_k(a), k != 1, a * P = N(a) is rational and
+        a^-1 = P / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_48)")
         if self.is_rational():
             return Cyclo.from_rational(1 / self.rational())
-        # polynomials as Fraction lists, low degree first
-        a = [Fraction(x, self.den) for x in self.num]
-        phi = [Fraction(0)] * 17
-        phi[0], phi[8], phi[16] = Fraction(1), Fraction(-1), Fraction(1)
-        r0, r1 = phi, _ptrim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _pdeg(r1) > 0:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if _pdeg(r1) < 0:
-            raise ZeroDivisionError("element not invertible mod Phi_48")
-        c = r1[0]
-        return Cyclo([x / c for x in s1])
+        P = _ONE
+        for k in _UNITS:
+            vec = [0] * 48   # sigma_k maps zeta^i to zeta^(i*k)
+            for i, x in enumerate(self.num):
+                vec[i * k % 48] += x
+            P = P * Cyclo(vec, self.den)
+        return P * (1 / (self * P).rational())
 
     def __truediv__(self, other):
         return self * Cyclo.coerce(other).inv()
@@ -195,57 +194,6 @@ class Cyclo:
                 coeff = Fraction(x, self.den)
                 parts.append(("%s" % coeff) if i == 0 else "%s*z^%d" % (coeff, i))
         return "(" + " + ".join(parts) + ")"
-
-    def complex_embedding(self) -> complex:
-        """Debug-only numeric embedding with z = exp(2 pi i/48)."""
-        import cmath
-        z = cmath.exp(2j * cmath.pi / 48)
-        return sum(x * z ** i for i, x in enumerate(self.num)) / self.den
-
-
-# -- polynomial helpers for the inverse (Fraction lists, low degree first) --
-
-def _ptrim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _pdeg(p):
-    p = _ptrim(list(p))
-    return len(p) - 1 if p else -1
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    b = _ptrim(list(b))
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return _ptrim(q), _ptrim(a)
 
 
 def zeta_pow(k: int) -> Cyclo:

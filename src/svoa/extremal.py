@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
 
-from .qseries import (GRID, QSeries, cbrt_j, chi_half, cusp1_chi_half,
-                      euler_product, j_function, j_theta, vacuum)
+from .qseries import (GRID, QSeries, _prod_half_steps, _prod_one_plus_qn,
+                      cbrt_j, chi_half, cusp1_chi_half, euler_product,
+                      j_function, j_theta, vacuum)
 
 VOA = "VOA"
 SVOA = "SVOA"
@@ -105,7 +106,7 @@ def extremal_voa(c, window=None) -> ExtremalSolution:
     for n in range(k + 1, window + 1):
         A[n] = Fraction(ratio.coeff(GRID * n))
     if not (A[k + 1] > 0 and A[k + 2] - A[k + 1] > 0):
-        raise AssertionError("extremality positivity fails at c=%s: A=%s" % (c, A))
+        raise ArithmeticError("extremality positivity fails at c=%s: A=%s" % (c, A))
     return ExtremalSolution(c=c, kind=VOA, k=k, a=a, series=series, A=A)
 
 
@@ -307,7 +308,7 @@ def classify(c, cmax=56) -> Verdict:
     if c >= 48:
         ak, akm1 = sol.a[sol.k], sol.a[sol.k - 1]
         if not (ak < 0 and akm1 < 0):
-            raise AssertionError("expected negative tail coefficients at c=%s" % c)
+            raise ArithmeticError("expected negative tail coefficients at c=%s" % c)
         tail = (akm1, ak)
     if args:
         return Verdict(c=c, status="ruled_out", arguments=frozenset(args),
@@ -382,24 +383,14 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
     cc = int(c)
     t = theta.trunc
     eul = euler_product(t + 2 * cc)
-    one_plus = _one_plus_qn(t + 2 * cc)
-    half_minus = _half_steps(t + 2 * cc, -1)
-    half_plus = _half_steps(t + 2 * cc, +1)
+    one_plus = _prod_one_plus_qn(t + 2 * cc)
+    half_minus = _prod_half_steps(t + 2 * cc, -1)
+    half_plus = _prod_half_steps(t + 2 * cc, +1)
     untwisted = (theta * (eul ** (-cc)) + one_plus ** (-cc)).scale(Fraction(1, 2))
     sign = (-1) ** (cc // 8)
     twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))
     twisted = twisted.scale(Fraction(2 ** (cc // 2), 2))
     return untwisted.shift(-2 * cc) + twisted.shift(cc)
-
-
-def _one_plus_qn(trunc):
-    from .qseries import _prod_one_plus_qn
-    return _prod_one_plus_qn(trunc)
-
-
-def _half_steps(trunc, sign):
-    from .qseries import _prod_half_steps
-    return _prod_half_steps(trunc, sign)
 
 
 def fusion_type(c) -> str:

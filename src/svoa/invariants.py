@@ -15,20 +15,11 @@ from fractions import Fraction
 from math import comb
 
 from .cyclo import Cyclo, cyc_zero
-from .qseries import GRID, QSeries, chi_ising_0, chi_ising_16, chi_ising_half
+from .linalg import gauss_jordan
+from .qseries import (GRID, QSeries, _norm_coeff, chi_ising_0, chi_ising_16,
+                      chi_ising_half)
 
 NVARS = 3
-
-
-def _norm_coeff(c):
-    if isinstance(c, Cyclo):
-        if c.is_rational():
-            c = c.rational()
-        else:
-            return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class MultiPoly:
@@ -209,7 +200,8 @@ def poly_act(g, P: MultiPoly) -> MultiPoly:
     n = g.n
     if n != NVARS:
         raise ValueError("action needs a 3x3 matrix")
-    # PA = LU with partial pivoting; op_A = op_U . op_L . op_{P^-1}
+    # PA = LU with partial pivoting; op_A = op_U . op_L . op_{P^-1}.  Not
+    # linalg.gauss_jordan: the multipliers themselves are the shears.
     a = [list(r) for r in g.rows]
     perm = list(range(n))
     lower = [[cyc_zero() for _ in range(n)] for _ in range(n)]
@@ -304,7 +296,7 @@ def check_invariance(polys=None, ranks=(Fraction(1, 2),)):
         for name, p in zip(("p1", "p2", "p3", "p4"), polys):
             for gname, g in (("T", T), ("S", S)):
                 if poly_act(g, p) != p:
-                    raise AssertionError(
+                    raise ArithmeticError(
                         "%s is not fixed by %s at rank %s: the (a,b,c) -> "
                         "g.(a,b,c) action convention is violated" % (name, gname, c))
     return True
@@ -364,27 +356,8 @@ def basis_rank():
     independence check)."""
     basis = degree48_basis()
     monomials = sorted(set().union(*[set(b.terms) for b in basis]))
-    rows = [[Fraction(b.terms.get(m, 0)) for b in basis] for m in monomials]
-    return _rank(rows)
-
-
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv_p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [[b.terms.get(m, 0) for b in basis] for m in monomials]
+    return len(gauss_jordan(rows)[1])
 
 
 class ConstraintError(ValueError):
@@ -407,12 +380,16 @@ def solve_monster_polynomial(constraints=None, verify_published=True) -> MultiPo
                                   "degree 48" % (i, j, k))
     if len({m for m, _ in constraints}) != len(constraints):
         raise ConstraintError("duplicate constraint monomials")
-    mat = [[Fraction(b.coeff(*m)) for b in basis] for m, _ in constraints]
+    mat = [[b.coeff(*m) for b in basis] for m, _ in constraints]
     rhs = [Fraction(v) for _, v in constraints]
-    lam = _solve_linear(mat, rhs)
+    _, pivots, reduced = gauss_jordan(mat, [rhs])
+    if len(pivots) < len(basis):
+        raise ConstraintError("constraint system is singular")
+    if any(row[-1] != 0 for row in reduced[len(basis):]):
+        raise ConstraintError("constraint system is inconsistent")
     P = MultiPoly.zero()
-    for coeff, b in zip(lam, basis):
-        P = P + b.scale(coeff)
+    for row, b in zip(reduced, basis):
+        P = P + b.scale(row[-1])
     if verify_published:
         published = _published_monster_terms()
         if P.terms != {m: c for m, c in published.items()}:
@@ -426,30 +403,6 @@ def solve_monster_polynomial(constraints=None, verify_published=True) -> MultiPo
         if rel != 0:
             raise ConstraintError("degree-3 highest-weight relation violated")
     return P
-
-
-def _solve_linear(mat, rhs):
-    n = len(mat[0])
-    rows = [list(r) + [v] for r, v in zip(mat, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ConstraintError("constraint system is singular")
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv_p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][n] != 0:
-            raise ConstraintError("constraint system is inconsistent")
-    return [rows[i][n] for i in range(n)]
 
 
 _MONSTER_CACHE = None

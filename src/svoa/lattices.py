@@ -17,6 +17,7 @@ from functools import cached_property
 from math import isqrt, lcm
 from typing import Callable
 
+from .linalg import gauss_jordan
 from .qseries import GRID, QSeries, E4, delta, eta
 
 
@@ -46,10 +47,10 @@ class Lattice:
         return self._gram_glue[1]
 
     def determinant(self) -> Fraction:
-        return _gauss_jordan(self.gram)[0]
+        return gauss_jordan(self.gram)[0]
 
     def is_positive_definite(self) -> bool:
-        return all(_gauss_jordan([row[:k] for row in self.gram[:k]])[0] > 0
+        return all(gauss_jordan([row[:k] for row in self.gram[:k]])[0] > 0
                    for k in range(1, self.dim + 1))
 
     def glue_norms(self):
@@ -59,30 +60,6 @@ class Lattice:
         return {"name": self.name, "dim": self.dim,
                 "gram": [[str(x) for x in row] for row in self.gram],
                 "glue": [[str(x) for x in g] for g in self.glue]}
-
-
-def _gauss_jordan(rows, rhs=()):
-    """(det, solutions): the determinant of the square matrix `rows` and,
-    when it is nonzero, the solution x of rows x = b for each b in `rhs`."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in rhs]
-         for i, row in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        p = m[col][col]
-        det *= p
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            f = m[r][col]
-            if r != col and f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det, [[m[i][n + j] for i in range(n)] for j in range(len(rhs))]
 
 
 def _form_value(gram, v):
@@ -106,8 +83,10 @@ def _from_ambient(basis, glue_ambient):
              for bj in basis] for bi in basis]
     rhs = [[sum(Fraction(x) * Fraction(y) for x, y in zip(g, bi))
             for bi in basis] for g in glue_ambient]
+    reduced = gauss_jordan(gram, rhs)[2]
     glue = []
-    for g, mu in zip(glue_ambient, _gauss_jordan(gram, rhs)[1]):
+    for col, g in enumerate(glue_ambient, start=dim):
+        mu = [row[col] for row in reduced]
         # confirm g lies in the rational span of the basis
         recon = [sum(mu[i] * Fraction(basis[i][t]) for i in range(dim))
                  for t in range(len(basis[0]))]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import Cyclo, cyc_one, cyc_zero, sqrt2, zeta_pow
+from .linalg import gauss_jordan
 from .qseries import GRID, QSeries
 
 
@@ -56,25 +57,12 @@ class CycMatrix:
         return CycMatrix(rows)
 
     def inv(self):
-        """Gauss-Jordan inverse (n <= 4 in practice)."""
+        """Inverse by Gauss-Jordan elimination against the identity."""
         n = self.n
-        a = [list(r) for r in self.rows]
-        b = [list(CycMatrix.identity(n).rows[i]) for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv_p = a[col][col].inv()
-            a[col] = [x * inv_p for x in a[col]]
-            b[col] = [x * inv_p for x in b[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return CycMatrix(b)
+        _, pivots, reduced = gauss_jordan(self.rows, CycMatrix.identity(n).rows)
+        if len(pivots) < n:
+            raise ZeroDivisionError("singular matrix")
+        return CycMatrix([row[n:] for row in reduced])
 
     def __pow__(self, k: int):
         if k < 0:
@@ -108,9 +96,6 @@ class CycMatrix:
             acc = acc + _det([[self.rows[i][j] for j in idx] for i in idx])
         return acc
 
-    def det(self):
-        return _det([list(r) for r in self.rows])
-
     def is_identity(self):
         return self == CycMatrix.identity(self.n)
 
@@ -128,6 +113,8 @@ class CycMatrix:
 
 
 def _det(rows):
+    # cofactor expansion, not linalg.gauss_jordan: division-free, and Molien
+    # takes the principal minors of every group element
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -214,7 +201,7 @@ def _relations_hold(S, T) -> bool:
 
 def _check_relations(S, T):
     if not _relations_hold(S, T):
-        raise AssertionError("modular relations S^4=1, S^2=(ST)^3, (ST)^6=1 violated")
+        raise ArithmeticError("modular relations S^4=1, S^2=(ST)^3, (ST)^6=1 violated")
 
 
 # -- group closure ---------------------------------------------------------------

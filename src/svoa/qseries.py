@@ -29,14 +29,10 @@ class GridError(ValueError):
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    if isinstance(c, Cyclo):
-        if c.is_rational():
-            return _norm_coeff(c.rational())
-        return c
+    if isinstance(c, Cyclo) and c.is_rational():
+        c = c.rational()
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
     return c
 
 
@@ -337,7 +333,8 @@ class QSeries:
 
 def _log(u: QSeries) -> QSeries:
     """Formal logarithm of u = 1 + (positive-index part)."""
-    assert u.coeff(0) == 1
+    if u.coeff(0) != 1:
+        raise ValueError("log needs constant term 1, got %s" % (u.coeff(0),))
     du = u.derivative()
     v = du * u.inv()  # valid to trunc - GRID
     out = {}
@@ -351,7 +348,8 @@ def _exp(v: QSeries) -> QSeries:
     """Formal exponential of v with v(0) = 0 (positive leading index)."""
     if v.is_zero():
         return QSeries.one(v.trunc)
-    assert v.lead > 0
+    if v.lead <= 0:
+        raise ValueError("exp needs a positive leading index, got %d" % v.lead)
     t = v.trunc
     src = sorted(v.coeffs.items())
     out = {0: 1}
@@ -369,29 +367,6 @@ def _exp(v: QSeries) -> QSeries:
             if c != 0:
                 out[n] = c
     return QSeries(out, t)
-
-
-# -- spec-level operation aliases -------------------------------------------------
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def series_inv(a: QSeries) -> QSeries:
-    return a.inv()
-
-
-def series_pow_rational(a: QSeries, r) -> QSeries:
-    return a.pow_rational(r)
-
-
-def series_derivative(a: QSeries) -> QSeries:
-    return a.derivative()
-
-
-def t_twist(a: QSeries) -> QSeries:
-    return a.twist()
 
 
 def denominator_profile(a: QSeries):

@@ -161,6 +161,13 @@ def test_order_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SVOA_ORDER", "2")
     code, out, _ = run(capsys, "series", "j")
     assert out.strip() == "q^-1 + 744 + 196884 q"
+    # a bad SVOA_ORDER is a usage error only once it is used
+    monkeypatch.setenv("SVOA_ORDER", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "SVOA_ORDER" in capsys.readouterr().out
+    code, out, _ = run(capsys, "--order", "2", "series", "j")
+    assert code == 0 and out.strip() == "q^-1 + 744 + 196884 q"
 
 
 def _readme_examples():
@@ -185,3 +192,25 @@ def test_global_flags_after_subcommand(capsys):
                       "--order", "6")
     assert first == after == mixed
     assert QSeries.from_json(json.loads(first)).trunc == 6 * 48
+
+
+@pytest.mark.parametrize("env_order, argv", [
+    (None, ["--order", "-5", "series", "j"]),
+    (None, ["series", "j", "--order", "0"]),
+    ("abc", ["series", "j"]),
+    ("-3", ["series", "j"]),
+    (None, ["classify", "--from", "3", "--to", "1"]),
+    (None, ["classify", "--from", "0", "--to", "80"]),
+    (None, ["classify", "--from", "8", "--to", "10", "--max", "9"]),
+    (None, ["classify", "--from", "1/3", "--to", "1"]),
+    (None, ["molien", "--rank", "1/2", "--deg", "-1"]),
+    (None, ["verlinde", "--rank", "1/3"]),
+    (None, ["extremal-svoa", "--rank", "x"]),
+])
+def test_usage_errors_exit_64_before_work(capsys, monkeypatch, env_order, argv):
+    if env_order is not None:
+        monkeypatch.setenv("SVOA_ORDER", env_order)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 64 and out.out == "" and "error:" in out.err

@@ -37,6 +37,29 @@ def test_inverses():
     assert Cyclo.from_rational(2).inv() == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         Cyclo.from_rational(0).inv()
+    with pytest.raises(ZeroDivisionError):
+        (1 + zeta_pow(24)).inv()
+
+
+def _inverse_cases():
+    rng = random.Random(48)
+    yield sqrt2()
+    for k in range(48):
+        yield zeta_pow(k)
+        if k != 24:
+            yield 1 + zeta_pow(k)
+    for _ in range(30):
+        yield Cyclo([rng.randint(-10 ** 6, 10 ** 6) for _ in range(16)],
+                    rng.randint(2, 10 ** 4))
+
+
+def test_galois_norm_inverse_oracle():
+    # closed forms: zeta^-k and sqrt2/2; otherwise a * a^-1 = 1 and a^-1^-1 = a
+    assert all(zeta_pow(k).inv() == zeta_pow(-k) for k in range(48))
+    assert sqrt2().inv() == sqrt2() * Fraction(1, 2)
+    for a in _inverse_cases():
+        assert a * a.inv() == 1
+        assert a.inv().inv() == a
 
 
 def _order(x):

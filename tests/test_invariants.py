@@ -76,6 +76,9 @@ def test_generators_fix_the_invariants():
         assert poly_act(S, p) == p
         assert poly_act(T, p) == p
     assert check_invariance()
+    a = MultiPoly.variable(0)
+    with pytest.raises(ArithmeticError, match="not fixed"):
+        check_invariance(polys=(a, a, a, a))
 
 
 def test_basis_linearly_independent():
@@ -122,6 +125,13 @@ def test_solver_errors():
     dup[1] = dup[0]
     with pytest.raises(ConstraintError):
         solve_monster_polynomial(dup)
+    # every basis product is a<->b symmetric, so a mirrored monomial repeats a row
+    mirrored = list(DEFAULT_CONSTRAINTS[:-1]) + [((4, 44, 0), 804)]
+    with pytest.raises(ConstraintError, match="singular"):
+        solve_monster_polynomial(mirrored)
+    wrong = list(DEFAULT_CONSTRAINTS) + [((24, 24, 0), 1)]
+    with pytest.raises(ConstraintError, match="inconsistent"):
+        solve_monster_polynomial(wrong)
     # consistent alternative constraint drawn from the solution still works
     P = monster_polynomial()
     alt = list(DEFAULT_CONSTRAINTS[:-1]) + [((24, 24, 0), P.coeff(24, 24, 0))]

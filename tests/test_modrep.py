@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from svoa.cyclo import sqrt2, zeta_pow
-from svoa.modrep import (CycMatrix, character_rep, generate_group, molien,
-                         quantum_dimensions, verlinde)
+from svoa.modrep import (CycMatrix, _check_relations, character_rep,
+                         generate_group, molien, quantum_dimensions, verlinde)
 from svoa.qseries import GRID
 
 
@@ -134,7 +134,15 @@ def test_quantum_dimensions():
 
 
 def test_matrix_inverse():
-    _, S = character_rep(Fraction(3, 2))
-    assert (S * S.inv()).is_identity()
-    T, _ = character_rep(Fraction(3, 2))
-    assert (T * T.inv()).is_identity()
+    for c in (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(47, 2)):
+        T, S = character_rep(c)
+        assert (S * S.inv()).is_identity()
+        assert (T * T.inv()).is_identity()
+    with pytest.raises(ZeroDivisionError):
+        CycMatrix([[1, 2], [2, 4]]).inv()
+
+
+def test_broken_relations_are_arithmetic_errors():
+    with pytest.raises(ArithmeticError, match="modular relations"):
+        _check_relations(CycMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                         CycMatrix.identity(3))

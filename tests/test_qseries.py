@@ -1,7 +1,10 @@
 """q-series engine: ring laws, catalog expansions, fractional powers,
 derivatives, twisting, denominator profiles."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,3 +252,19 @@ def test_str_format():
     s = str(j)
     assert s.startswith("q^-1 + 744 + 196884 q + 21493760 q^2")
     assert "q^(25/48)" in str(QSeries({25: 1}, 48))
+
+
+def test_log_exp_domain_errors_survive_optimize():
+    with pytest.raises(ValueError, match="constant term 1"):
+        qs._log(QSeries({0: 2, 48: 1}, T))
+    with pytest.raises(ValueError, match="positive leading index"):
+        qs._exp(QSeries({0: 1}, T))
+    code = ("from svoa import qseries as qs\n"
+            "try:\n"
+            "    qs._log(qs.QSeries({0: 2, 48: 1}, 96))\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.dirname(os.path.dirname(qs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
