@@ -43,6 +43,21 @@ class ExtremalError(ValueError):
     pass
 
 
+# cap on (basis size) x (terms per series)^2, a proxy for the coefficient
+# products of a solve and its shadow.  Rank 56 needs 3,872 and rank 200
+# 81,536; at the cap a solve takes 6 s (SVOA rank 840, with its shadow) to
+# 14 s (VOA rank 3960) on a 2-vCPU VM
+WORK_BUDGET = 5_000_000
+
+
+def _check_work(c, k, rel, step):
+    """Refuse a solve before any series is built when it is too large."""
+    work = (k + 1) * (rel // step) ** 2
+    if work > WORK_BUDGET:
+        raise ExtremalError("rank %s needs about %d coefficient products, over "
+                            "the budget of %d" % (c, work, WORK_BUDGET))
+
+
 class NotDecomposableError(ValueError):
     pass
 
@@ -100,6 +115,7 @@ def extremal_voa(c, window=None) -> ExtremalSolution:
     if window is None:
         window = k + 6
     rel = GRID * max(k + 3, window + 2, 11)
+    _check_work(c, k, rel, GRID)
     basis = _voa_basis(c, k, rel)
     a, series, ratio = _solve_triangular(c, basis, GRID, k, rel)
     A = {}
@@ -119,6 +135,7 @@ def extremal_svoa(c, window=None) -> ExtremalSolution:
     if window is None:
         window = k + 12
     rel = GRID * max(k + 3, window // 2 + 2, 11)
+    _check_work(c, k, rel, 24)
     basis = _svoa_basis(c, k, rel)
     a, series, ratio = _solve_triangular(c, basis, 24, k, rel)
     A = {}

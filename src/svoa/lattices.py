@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable
 
 from .linalg import gauss_jordan
@@ -199,6 +199,31 @@ def _charge(counter, work, budget):
         raise EnumerationBudgetError("enumeration budget exceeded")
 
 
+def _block_work(terms, n, m, d, norm_max):
+    """Upper bound on the (state x term) products of counting a block.
+
+    After i coordinates there are at most len(terms)^i states, and at most
+    (sum classes) x (norms per class).  For m > 0 there are m classes, and
+    the norms lie in one residue class modulo the gcd of the term norms'
+    differences.  For m = 0 the class is the exact sum s of the k's, which
+    Cauchy-Schwarz on x = k + a confines to |s + i a| <= sqrt(i norm_max)/d;
+    within it the norm is d^2 sum(k^2) plus a constant, and sum(k^2) = s
+    mod 2.
+    """
+    t = len(terms)
+    if m:
+        g = gcd(*(y2 - terms[0][1] for _, y2 in terms))  # 0 for at most one term
+        norms = norm_max // g + 1 if g else 1
+    else:
+        norms = norm_max // (2 * d * d) + 1
+    work, states = 0, 1
+    for i in range(1, n + 1):
+        work += t * states
+        classes = m or (2 * isqrt(i * norm_max) + 2) // d + 1
+        states = min(states * t, classes * norms)
+    return work
+
+
 def _block_counts(block, d, norm_max, counter, budget):
     """{d^2 x.x: count} over x in (Z + a)^n with sum(x) = 0 mod m (m = 0:
     sum(x) = 0) and d^2 x.x <= norm_max.
@@ -212,9 +237,9 @@ def _block_counts(block, d, norm_max, counter, budget):
     r = isqrt(norm_max)
     terms = [(k, (d * k + da) ** 2)
              for k in range(-((r + da) // d), (r - da) // d + 1)]
+    _charge(counter, _block_work(terms, n, m, d, norm_max), budget)
     states = {0: {0: 1}}
     for _ in range(n):
-        _charge(counter, len(terms) * sum(map(len, states.values())), budget)
         new = {}
         for z, row in states.items():
             for k, y2 in terms:
@@ -244,7 +269,8 @@ def theta_series(L: Lattice, trunc=None, budget=20_000_000) -> QSeries:
 
     Counts every vector of norm below 2 * trunc / GRID (default trunc
     q^5) coset by coset; `budget` caps the (state x term) products of the
-    count, beyond which EnumerationBudgetError is raised.  The Leech entry
+    count, each block's bounded before its first coordinate, beyond which
+    EnumerationBudgetError is raised.  The Leech entry
     dispatches to its closed form.
     """
     if trunc is None:

@@ -11,6 +11,13 @@ as plain ints so that the hot convolution loops run on machine integers.
 Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
 bound (``min`` for +/-, the lead-shifted ``min`` for products).
+
+The series stay sparse on the 1/48 grid, but the product, inverse and
+exponential kernels run in units of a stride g: the gcd of the operands'
+offsets from their leads (for exp, of the indices themselves).  Every
+result coefficient then sits at the result's lead plus a multiple of g, so
+the recurrences run on a dense list, and an integer-step series (g = 48)
+never visits the 47 empty indices between two terms.
 """
 
 from __future__ import annotations
@@ -41,6 +48,16 @@ def _coeff_div(a, b):
     if isinstance(a, Cyclo) or isinstance(b, Cyclo):
         return _norm_coeff(Cyclo.coerce(a) / Cyclo.coerce(b))
     return _norm_coeff(Fraction(a) / Fraction(b))
+
+
+def _stride(coeffs, lead, g=0):
+    """gcd of g and the support's offsets from `lead` (0: a single term)."""
+    return gcd(g, *(n - lead for n in coeffs))
+
+
+def _from_slots(slots, lead, g, trunc):
+    """The series with coefficient slots[k] at index lead + k*g."""
+    return QSeries({lead + g * k: c for k, c in enumerate(slots) if c}, trunc)
 
 
 class QSeries:
@@ -85,18 +102,8 @@ class QSeries:
     def coeff(self, index):
         return self.coeffs.get(index, 0)
 
-    def coeff_q(self, exponent):
-        """Coefficient of q^exponent for a rational exponent."""
-        e = Fraction(exponent) * GRID
-        if e.denominator != 1:
-            return 0
-        return self.coeffs.get(int(e), 0)
-
     def is_zero(self):
         return not self.coeffs
-
-    def is_rational_series(self):
-        return all(not isinstance(c, Cyclo) for c in self.coeffs.values())
 
     def support(self):
         return sorted(self.coeffs)
@@ -138,19 +145,26 @@ class QSeries:
             return self.scale(other)
         t = min(self.trunc + other._lead_or_trunc(),
                 other.trunc + self._lead_or_trunc())
-        out = {}
         a = self.coeffs
         b = other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        bitems = sorted(b.items())
+        if not a:
+            return QSeries({}, t)
+        ea, eb = min(a), min(b)
+        e = ea + eb
+        g = _stride(a, ea, _stride(b, eb)) or t - e
+        out = [0] * ((t - e - 1) // g + 1)
+        n = len(out)
+        bk = sorted(((j - eb) // g, y) for j, y in b.items())
         for i, x in a.items():
-            for j, y in bitems:
-                n = i + j
-                if n >= t:
+            i = (i - ea) // g
+            for j, y in bk:
+                k = i + j
+                if k >= n:
                     break
-                out[n] = out.get(n, 0) + x * y
-        return QSeries(out, t)
+                out[k] += x * y
+        return _from_slots(out, e, g, t)
 
     __rmul__ = __mul__
 
@@ -168,25 +182,23 @@ class QSeries:
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
         e = self.lead
-        t = self.trunc - 2 * e
-        u0 = self.coeffs[e]
-        u0inv = _coeff_div(1, u0)
-        rest = sorted((n - e, c) for n, c in self.coeffs.items() if n != e)
-        out = {0: u0inv}
-        for n in range(1, self.trunc - e):
-            # coefficient of index n in (unit part) * (partial inverse) must vanish
+        span = self.trunc - e
+        g = _stride(self.coeffs, e) or span
+        u0inv = _coeff_div(1, self.coeffs[e])
+        rest = sorted(((n - e) // g, c) for n, c in self.coeffs.items() if n != e)
+        out = [u0inv] + [0] * ((span - 1) // g)
+        for k in range(1, len(out)):
+            # coefficient k of (unit part) * (partial inverse) must vanish
             s = 0
             for m, c in rest:
-                if m > n:
+                if m > k:
                     break
-                y = out.get(n - m)
-                if y is not None:
+                y = out[k - m]
+                if y:
                     s += c * y
             if s:
-                v = _norm_coeff(-(s * u0inv))
-                if v != 0:
-                    out[n] = v
-        return QSeries({n - e: c for n, c in out.items()}, t)
+                out[k] = _norm_coeff(-(s * u0inv))
+        return _from_slots(out, -e, g, self.trunc - 2 * e)
 
     def __pow__(self, n: int):
         if n == 0:
@@ -351,22 +363,21 @@ def _exp(v: QSeries) -> QSeries:
     if v.lead <= 0:
         raise ValueError("exp needs a positive leading index, got %d" % v.lead)
     t = v.trunc
-    src = sorted(v.coeffs.items())
-    out = {0: 1}
-    # E' = v' E  =>  n E_n = sum_i i v_i E_{n-i}
-    for n in range(v.lead, t):
+    g = _stride(v.coeffs, 0)
+    src = sorted((i // g, vc * i) for i, vc in v.coeffs.items())
+    out = [1] + [0] * ((t - 1) // g)
+    # E' = v' E  =>  n E_n = sum_i i v_i E_{n-i}, in units of the stride g
+    for n in range(src[0][0], len(out)):
         s = 0
-        for i, vc in src:
+        for i, ivc in src:
             if i > n:
                 break
-            y = out.get(n - i)
-            if y is not None:
-                s += vc * y * i
+            y = out[n - i]
+            if y:
+                s += ivc * y
         if s:
-            c = _norm_coeff(s * Fraction(1, n))
-            if c != 0:
-                out[n] = c
-    return QSeries(out, t)
+            out[n] = _norm_coeff(s * Fraction(1, n * g))
+    return _from_slots(out, 0, g, t)
 
 
 def denominator_profile(a: QSeries):

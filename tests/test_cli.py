@@ -3,6 +3,7 @@
 import json
 import os
 import shlex
+import time
 
 import pytest
 
@@ -155,6 +156,19 @@ def test_computation_exit_code(capsys):
     code, _, err = run(capsys, "extremal-voa", "--rank", "7")
     assert code == 1
     assert "multiple of 8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal-svoa", "--rank", "100000"],
+    ["extremal-voa", "--rank", "100000"],
+    ["shadow", "--rank", "100000"],
+    ["classify", "--from", "100000", "--to", "100000", "--max", "100000"],
+])
+def test_huge_extremal_rank_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and "budget" in err
 
 
 def test_order_env_override(capsys, monkeypatch):

@@ -268,3 +268,143 @@ def test_log_exp_domain_errors_survive_optimize():
     src = os.path.dirname(os.path.dirname(qs.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+# -- stride kernels against the 1/48-grid kernels they replaced -----------------------
+
+
+def _grid_mul(self, other):
+    t = min(self.trunc + other._lead_or_trunc(),
+            other.trunc + self._lead_or_trunc())
+    out = {}
+    a = self.coeffs
+    b = other.coeffs
+    if len(a) > len(b):
+        a, b = b, a
+    bitems = sorted(b.items())
+    for i, x in a.items():
+        for j, y in bitems:
+            n = i + j
+            if n >= t:
+                break
+            out[n] = out.get(n, 0) + x * y
+    return QSeries(out, t)
+
+
+def _grid_inv(self):
+    e = self.lead
+    t = self.trunc - 2 * e
+    u0 = self.coeffs[e]
+    u0inv = qs._coeff_div(1, u0)
+    rest = sorted((n - e, c) for n, c in self.coeffs.items() if n != e)
+    out = {0: u0inv}
+    for n in range(1, self.trunc - e):
+        # coefficient of index n in (unit part) * (partial inverse) must vanish
+        s = 0
+        for m, c in rest:
+            if m > n:
+                break
+            y = out.get(n - m)
+            if y is not None:
+                s += c * y
+        if s:
+            v = qs._norm_coeff(-(s * u0inv))
+            if v != 0:
+                out[n] = v
+    return QSeries({n - e: c for n, c in out.items()}, t)
+
+
+def _grid_exp(v):
+    t = v.trunc
+    src = sorted(v.coeffs.items())
+    out = {0: 1}
+    # E' = v' E  =>  n E_n = sum_i i v_i E_{n-i}
+    for n in range(v.lead, t):
+        s = 0
+        for i, vc in src:
+            if i > n:
+                break
+            y = out.get(n - i)
+            if y is not None:
+                s += vc * y * i
+        if s:
+            c = qs._norm_coeff(s * Fraction(1, n))
+            if c != 0:
+                out[n] = c
+    return QSeries(out, t)
+
+
+def _grid_pow_rational(a, r):
+    """pow_rational with the grid kernels in place of mul, inv and _exp."""
+    e = a.lead
+    u = QSeries({n - e: c for n, c in a.coeffs.items()}, a.trunc - e)
+    du = u.derivative()
+    v = _grid_mul(du, _grid_inv(u))
+    log = QSeries({n + GRID: c * Fraction(GRID, n + GRID)
+                   for n, c in v.coeffs.items()}, v.trunc + GRID)
+    return _grid_exp(log.scale(r)).shift(int(r * e))
+
+
+STRIDES = (1, 2, 3, 6, 8, 16, 24, 48)
+
+
+def _coefficient(rng, kind):
+    x = rng.choice([c for c in range(-9, 10) if c])
+    if kind == "int":
+        return x
+    if kind == "fraction":
+        return Fraction(x, rng.randint(1, 6))
+    return zeta_pow(rng.randrange(48)) * x
+
+
+def _strided_series(rng, stride, kind, lead=None, terms=6, monic=False):
+    """Random series on lead + stride*Z up to a random truncation."""
+    if lead is None:
+        lead = rng.randint(-60, 60)
+    trunc = lead + stride * rng.randint(4, 24) + rng.randint(1, stride)
+    coeffs = {lead + stride * rng.randint(1, (trunc - lead - 1) // stride):
+              _coefficient(rng, kind) for _ in range(terms)}
+    coeffs[lead] = 1 if monic else _coefficient(rng, kind)
+    return QSeries(coeffs, trunc)
+
+
+def _same(x, y):
+    return x.trunc == y.trunc and x.coeffs == y.coeffs
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclo"])
+def test_stride_kernels_match_grid_kernels(kind):
+    rng = random.Random(4817)
+    for trial in range(60):
+        a = _strided_series(rng, rng.choice(STRIDES), kind)
+        b = _strided_series(rng, rng.choice(STRIDES), kind)
+        assert _same(a * b, _grid_mul(a, b)), (trial, a, b)
+        assert _same(a.inv(), _grid_inv(a)), (trial, a)
+        v = _strided_series(rng, rng.choice(STRIDES), kind, lead=rng.randint(1, 60))
+        assert _same(qs._exp(v), _grid_exp(v)), (trial, v)
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4)])
+def test_pow_rational_matches_grid_kernels(r):
+    rng = random.Random(int(r * 12))
+    for trial in range(12):
+        lead = r.denominator * rng.randint(-15, 15)
+        a = _strided_series(rng, rng.choice(STRIDES), "fraction", lead=lead, monic=True)
+        assert _same(a.pow_rational(r), _grid_pow_rational(a, r)), (trial, a)
+
+
+def test_stride_is_the_gcd_of_the_whole_support():
+    # a stride-24 series with one stray stride-1 term: a kernel that took
+    # its stride from the first steps only would miss index 1 and its echoes
+    a = QSeries({0: 1, 24: 2, 48: -1, 73: 3}, 480)
+    b = QSeries({-24: 1, 24: 5}, 400)
+    assert _same(a * b, _grid_mul(a, b)) and (a * b).coeff(49) == 3
+    assert _same(a.inv(), _grid_inv(a)) and a.inv().coeff(73) == -3
+    v = QSeries({24: 1, 97: Fraction(1, 2)}, 480)
+    assert _same(qs._exp(v), _grid_exp(v)) and qs._exp(v).coeff(121) == Fraction(1, 2)
+    # single terms: the kernels need no stride at all
+    assert _same(QSeries({5: 2}, 300) * QSeries({-7: 3}, 100),
+                 _grid_mul(QSeries({5: 2}, 300), QSeries({-7: 3}, 100)))
+    assert _same(QSeries({5: 2}, 300).inv(), _grid_inv(QSeries({5: 2}, 300)))
+    c = QSeries({-5: 1, 40: 2}, 400)
+    assert _same(QSeries({5: 2}, 300) * c, _grid_mul(QSeries({5: 2}, 300), c))
