@@ -40,15 +40,9 @@ class Cyclo:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        # num: iterable of ints or Fractions, den: int != 0.
+        # num: iterable of ints, den: int != 0 (rationals enter through
+        # from_rational and multiplication by a Fraction).
         num = list(num)
-        if any(isinstance(x, Fraction) for x in num):
-            common = 1
-            for x in num:
-                if isinstance(x, Fraction):
-                    common = common * x.denominator // gcd(common, x.denominator)
-            num = [int(x * common) for x in num]
-            den = den * common
         if len(num) > DEGREE:
             num = _reduce(num)
         num += [0] * (DEGREE - len(num))

@@ -241,8 +241,9 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
 
     The result is the sum of the twisted-module characters for integral
     rank, and the single twisted character (the 1/sqrt(2) normalization
-    already applied) for c in Z+1/2.  All stored coefficients are rational;
-    the parity bookkeeping of the sqrt(2) powers is integer arithmetic.
+    already applied) for c in Z+1/2.  B sums powers of the rational cusp-1
+    expansion with rational scales, so it is rational as built; the parity
+    bookkeeping of the sqrt(2) powers is integer arithmetic.
     """
     if sol.kind != SVOA:
         raise ValueError("shadow applies to SVOA solutions")
@@ -260,7 +261,6 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
             two_pow = Fraction(2) ** (m // 2)
         term = (w ** m).scale(ar * (-1) ** r * two_pow)
         B = B + term
-    B = B.demote_rational()
     neg = non_int = None
     for n in B.support():
         x = B.coeffs[n]
@@ -365,8 +365,7 @@ def hw_enumerator(x: QSeries, c) -> HighestWeightEnum:
     lead = int(-2 * c)
     t_rel = x.trunc - lead
     shifted = x.shift(-lead)  # q^(c/24) * x
-    vac_part = euler_product(t_rel).inv() * QSeries({0: 1, GRID: -1}, t_rel)
-    series = (shifted - vac_part) * euler_product(t_rel)
+    series = (shifted - vacuum(c, x.trunc).shift(-lead)) * euler_product(t_rel)
     P = {Fraction(0): 1}
     mu = None
     for n in series.support():

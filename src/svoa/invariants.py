@@ -16,10 +16,18 @@ from math import comb
 
 from .cyclo import Cyclo, cyc_zero
 from .linalg import gauss_jordan
-from .qseries import (GRID, QSeries, _norm_coeff, chi_ising_0, chi_ising_16,
-                      chi_ising_half)
+from .qseries import GRID, QSeries, chi_ising_0, chi_ising_16, chi_ising_half
 
 NVARS = 3
+
+
+def _norm_coeff(c):
+    """A rational Cyclo as int or Fraction, an integral Fraction as int."""
+    if isinstance(c, Cyclo) and c.is_rational():
+        c = c.rational()
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
 
 
 class MultiPoly:
@@ -31,9 +39,8 @@ class MultiPoly:
         self.terms = {}
         for mono, c in terms.items():
             c = _norm_coeff(c)
-            if c == 0 or (isinstance(c, Cyclo) and c.is_zero()):
-                continue
-            self.terms[mono] = c
+            if c != 0:
+                self.terms[mono] = c
 
     @staticmethod
     def zero():
@@ -141,7 +148,7 @@ class MultiPoly:
 
 def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
     """Substitute x_s -> x_s + lam * x_t (s != t)."""
-    if lam == 0 or (isinstance(lam, Cyclo) and lam.is_zero()):
+    if lam == 0:
         return P
     powers = {0: 1}
     out = {}

@@ -224,20 +224,23 @@ def _block_work(terms, n, m, d, norm_max):
     return work
 
 
-def _block_counts(block, d, norm_max, counter, budget):
+def _block_terms(a, d, norm_max):
+    """(k, d^2 (k + a)^2) for every integer k with d^2 (k + a)^2 <= norm_max."""
+    da = int(d * a)
+    r = isqrt(norm_max)
+    return [(k, (d * k + da) ** 2)
+            for k in range(-((r + da) // d), (r - da) // d + 1)]
+
+
+def _block_counts(block, terms, norm_max):
     """{d^2 x.x: count} over x in (Z + a)^n with sum(x) = 0 mod m (m = 0:
-    sum(x) = 0) and d^2 x.x <= norm_max.
+    sum(x) = 0) and d^2 x.x <= norm_max, from the block's `_block_terms`.
 
     Coordinates are x_i = k_i + a, so d x_i = d k_i + d a is an integer and
     the condition is sum(k) = -n a mod m.  States after each coordinate are
     {sum(k) (mod m): {scaled norm: count}}.
     """
     n, a, m = block
-    da = int(d * a)
-    r = isqrt(norm_max)
-    terms = [(k, (d * k + da) ** 2)
-             for k in range(-((r + da) // d), (r - da) // d + 1)]
-    _charge(counter, _block_work(terms, n, m, d, norm_max), budget)
     states = {0: {0: 1}}
     for _ in range(n):
         new = {}
@@ -269,8 +272,8 @@ def theta_series(L: Lattice, trunc=None, budget=20_000_000) -> QSeries:
 
     Counts every vector of norm below 2 * trunc / GRID (default trunc
     q^5) coset by coset; `budget` caps the (state x term) products of the
-    count, each block's bounded before its first coordinate, beyond which
-    EnumerationBudgetError is raised.  The Leech entry
+    count, every block's bounded before the first coordinate of any, beyond
+    which EnumerationBudgetError is raised.  The Leech entry
     dispatches to its closed form.
     """
     if trunc is None:
@@ -284,13 +287,15 @@ def theta_series(L: Lattice, trunc=None, budget=20_000_000) -> QSeries:
     # q^(x.x/2) sits at grid index 24 x.x, which must stay below trunc
     norm_max = d2 * (trunc - 1) // 24
     counter = [0]
-    blocks = {}
+    terms = {block: _block_terms(block[1], d, norm_max)
+             for coset in L.cosets for block in coset}
+    for (n, _, m), t in terms.items():
+        _charge(counter, _block_work(t, n, m, d, norm_max), budget)
+    blocks = {block: _block_counts(block, t, norm_max) for block, t in terms.items()}
     acc = {}
     for coset in L.cosets:
         counts = {0: 1}
         for block in coset:
-            if block not in blocks:
-                blocks[block] = _block_counts(block, d, norm_max, counter, budget)
             counts = _mul_truncated(counts, blocks[block], norm_max, counter, budget)
         for norm, cnt in counts.items():
             if (norm * 24) % d2:

@@ -259,7 +259,6 @@ def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
     for cs, count in classes.items():
         # det(1 - g t) = 1 - c1 t + c2 t^2 - ... ; invert by linear recurrence
         n = len(cs)
-        dens = [(-1) ** (k + 1) * 1 for k in range(1, n + 1)]
         poly = [cs[k - 1] * ((-1) ** k) for k in range(1, n + 1)]  # t^k coeffs
         inv = [cyc_one()]
         for m in range(1, maxdeg + 1):

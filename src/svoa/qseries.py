@@ -4,9 +4,9 @@ standard modular expansions.
 A series is a sparse map index -> coefficient where index n stands for
 q^(n/48).  The grid 1/48 is the finest needed anywhere: a character of
 rank c in (1/2)Z starts at q^(-c/24) in (1/48)Z, and the 1/16-sector
-exponents land on it as well.  Coefficients are integers, Fractions, or
-Cyclo elements (twisted series); rationals with denominator 1 are stored
-as plain ints so that the hot convolution loops run on machine integers.
+exponents land on it as well.  Coefficients are ints and Fractions only;
+rationals with denominator 1 are stored as plain ints so that the hot
+convolution loops run on machine integers.
 
 Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import Cyclo, zeta_pow
-
 GRID = 48
 DEFAULT_TRUNC = 10 * GRID  # q^10
 
@@ -36,8 +34,6 @@ class GridError(ValueError):
 
 
 def _norm_coeff(c):
-    if isinstance(c, Cyclo) and c.is_rational():
-        c = c.rational()
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -45,8 +41,6 @@ def _norm_coeff(c):
 
 def _coeff_div(a, b):
     """Exact division of coefficients (never integer floor division)."""
-    if isinstance(a, Cyclo) or isinstance(b, Cyclo):
-        return _norm_coeff(Cyclo.coerce(a) / Cyclo.coerce(b))
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
@@ -69,10 +63,8 @@ class QSeries:
         for n, c in coeffs.items():
             if n >= trunc:
                 continue
-            c = _norm_coeff(c)
-            if c == 0 or (isinstance(c, Cyclo) and c.is_zero()):
-                continue
-            self.coeffs[n] = c
+            if c:
+                self.coeffs[n] = _norm_coeff(c)
 
     # -- constructors --------------------------------------------------------
 
@@ -114,7 +106,7 @@ class QSeries:
         return self.lead if self.coeffs else self.trunc
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (int, Fraction)):
             other = QSeries({0: other}, self.trunc)
         t = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
@@ -128,7 +120,7 @@ class QSeries:
         return QSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (int, Fraction)):
             other = QSeries({0: other}, self.trunc)
         return self + (-other)
 
@@ -141,7 +133,7 @@ class QSeries:
         return QSeries({n: c * s for n, c in self.coeffs.items()}, self.trunc)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         t = min(self.trunc + other._lead_or_trunc(),
                 other.trunc + self._lead_or_trunc())
@@ -227,28 +219,6 @@ class QSeries:
             out[n - step_index] = c * Fraction(n, step_index)
         return QSeries(out, self.trunc - step_index)
 
-    def twist(self):
-        """Coefficient-wise phase q^(n/48) -> zeta_48^n q^(n/48) (the
-        T-transformation on expansions with trivial multiplier stripped)."""
-        out = {}
-        for n, c in self.coeffs.items():
-            out[n] = zeta_pow(n) * Cyclo.coerce(c)
-        return QSeries(out, self.trunc)
-
-    def phase_mul(self, phase: Cyclo):
-        return QSeries({n: phase * Cyclo.coerce(c) for n, c in self.coeffs.items()},
-                       self.trunc)
-
-    def demote_rational(self):
-        """Assert every coefficient is rational and strip Cyclo wrappers."""
-        out = {}
-        for n, c in self.coeffs.items():
-            if isinstance(c, Cyclo):
-                out[n] = c.rational()
-            else:
-                out[n] = c
-        return QSeries(out, self.trunc)
-
     # -- fractional powers -----------------------------------------------------
 
     def pow_rational(self, r) -> "QSeries":
@@ -324,10 +294,7 @@ class QSeries:
     def to_json(self):
         terms = []
         for n in self.support():
-            c = self.coeffs[n]
-            if isinstance(c, Cyclo):
-                raise ValueError("twisted series are not JSON-serializable")
-            f = Fraction(c)
+            f = Fraction(self.coeffs[n])
             terms.append([n, "%d/%d" % (f.numerator, f.denominator)
                           if f.denominator != 1 else str(f.numerator)])
         return {"grid": GRID, "trunc": self.trunc, "terms": terms}
@@ -506,17 +473,20 @@ def chi_half_minus(trunc=DEFAULT_TRUNC) -> QSeries:
     return _prod_half_steps(trunc + 1, -1).shift(-1)
 
 
-def chi_ising_0(trunc=DEFAULT_TRUNC) -> QSeries:
-    # (chi_V + e^{2 pi i c/24} chi_V|_T)/2 at c = 1/2: the integer-offset part
+def _fermion_sector(trunc, parity) -> QSeries:
+    """The terms of chi_half at index -1 + 24m with m = parity mod 2."""
     x = chi_half(trunc)
-    sym = x + x.twist().phase_mul(zeta_pow(1))
-    return sym.demote_rational().scale(Fraction(1, 2))
+    return QSeries({n: c for n, c in x.coeffs.items()
+                    if (n + 1) // 24 % 2 == parity}, x.trunc)
+
+
+def chi_ising_0(trunc=DEFAULT_TRUNC) -> QSeries:
+    # the integer-offset half of chi_half: q^(-1/48) times integer powers
+    return _fermion_sector(trunc, 0)
 
 
 def chi_ising_half(trunc=DEFAULT_TRUNC) -> QSeries:
-    x = chi_half(trunc)
-    anti = x - x.twist().phase_mul(zeta_pow(1))
-    return anti.demote_rational().scale(Fraction(1, 2))
+    return _fermion_sector(trunc, 1)
 
 
 def chi_ising_16(trunc=DEFAULT_TRUNC) -> QSeries:

@@ -225,6 +225,14 @@ def test_block_bound_covers_the_count(name):
             assert _block_work(terms, n, m, d, norm_max) >= work, (n, a, m, trunc)
 
 
+def test_budget_overrun_fails_before_counting():
+    # every block's bound is charged before the first block is counted
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError):
+        theta_series(lattice_catalog("A15+"), 128 * GRID)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_large_dimension_is_fast():
     start = time.perf_counter()
     th = theta_series(lattice_catalog("Z200"), 2 * GRID)
