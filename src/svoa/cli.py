@@ -165,8 +165,8 @@ def run(argv) -> int:
     trunc = args.order * GRID
     if cmd == "classify" and not 0 <= args.cfrom <= args.cto <= args.cmax:
         parser.error("classify needs 0 <= --from <= --to <= --max")
-    if cmd == "molien" and args.deg < 0:
-        parser.error("molien needs --deg >= 0")
+    if cmd == "molien" and (args.deg < 0 or args.cap < 1):
+        parser.error("molien needs --deg >= 0 and --cap >= 1")
 
     if cmd == "series":
         x = qseries.standard_series(args.name, trunc, c=args.rank,

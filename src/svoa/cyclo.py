@@ -2,15 +2,19 @@
 
 Every root-of-unity phase occurring in the modular transformation matrices
 lives in Q(zeta_48), as does sqrt(2) = zeta^6 + zeta^-6, so this single
-field suffices for the whole package.  An element is stored as an integer
-coordinate vector over the power basis 1, z, ..., z^15 (z = exp(2 pi i/48))
-together with a common positive denominator, reduced modulo
-Phi_48(x) = x^16 - x^8 + 1 and normalized with gcd(content, den) = 1.
-The representation is canonical, so equality is coordinate equality and
-elements can be hashed (matrix-group closure relies on this).  Inversion
-uses the Galois norm: the conjugates sigma_k (zeta -> zeta^k, k a unit
-mod 48) permute the 48 powers of zeta, and a times the product of its 15
-nontrivial conjugates is the rational norm N(a).
+field suffices for the whole package.  An element is an integer vector over
+the power basis 1, z, ..., z^15 (z = exp(2 pi i/48)) with a common positive
+denominator, reduced modulo Phi_48(x) = x^16 - x^8 + 1 and normalized with
+gcd(content, den) = 1.  `terms` stores only the nonzero (index, integer)
+pairs, ascending; `num` is the dense 16-tuple.  The form is canonical, so
+equality is coordinate equality and elements can be hashed.
+
+All ring arithmetic is one kernel, `dot`, a sum of products: raw integer
+products accumulate in one 31-slot list over a running common denominator,
+reduced modulo Phi_48 and normalized once per sum.  Matrix products,
+minors, the Molien recurrence and the shears call it directly; `+`, `-` and
+`*` are one- or two-pair calls.  Inversion uses the Galois norm: a times
+its 15 nontrivial conjugates sigma_k (zeta -> zeta^k) is rational.
 """
 
 from __future__ import annotations
@@ -23,51 +27,96 @@ DEGREE = 16  # degree of Phi_48
 _UNITS = tuple(k for k in range(2, 48) if gcd(k, 48) == 1)
 
 
-def _reduce(vec):
-    """Reduce a coefficient list in place modulo x^16 = x^8 - 1."""
-    for p in range(len(vec) - 1, DEGREE - 1, -1):
-        cp = vec[p]
-        if cp:
-            vec[p] = 0
-            vec[p - 8] += cp
-            vec[p - 16] -= cp
-    return vec[:DEGREE]
+def _canon(vec, top, den):
+    """vec/den (den > 0), vec reduced in place modulo x^16 = x^8 - 1 from
+    index `top` down, then made coprime to den; zero is the shared _ZERO."""
+    for p in range(top, DEGREE - 1, -1):
+        c = vec[p]
+        if c:
+            vec[p - 8] += c
+            vec[p - 16] -= c
+    terms = [(i, v) for i, v in enumerate(vec[:min(top + 1, DEGREE)]) if v]
+    if not terms:
+        return _ZERO
+    if den > 1:
+        g = gcd(den, *[v for _, v in terms])
+        if g > 1:
+            den //= g
+            terms = [(i, v // g) for i, v in terms]
+    x = object.__new__(Cyclo)
+    x.terms = tuple(terms)
+    x.den = den
+    return x
+
+
+def _parts(r):
+    """(terms, den) of an int or Fraction; anything else is a TypeError."""
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError("not an element of Q(zeta_48): %r" % (r,))
+    return ((0, int(r.numerator)),) if r else (), r.denominator
+
+
+def dot(pairs, minus=()) -> "Cyclo":
+    """sum x*y over (x, y) in `pairs` minus the same sum over `minus`, each
+    factor a Cyclo, an int or a Fraction, normalized once at the end."""
+    acc = [0] * 31
+    den = 1
+    top = -1  # highest index touched so far
+    for sign, group in ((1, pairs), (-1, minus)):
+        for x, y in group:
+            xt, xd = (x.terms, x.den) if x.__class__ is Cyclo else _parts(x)
+            yt, yd = (y.terms, y.den) if y.__class__ is Cyclo else _parts(y)
+            if not (xt and yt):
+                continue
+            d = xd * yd
+            if den % d:
+                g = d // gcd(den, d)
+                for k in range(top + 1):
+                    acc[k] *= g
+                den *= g
+            f = den // d * sign
+            for i, a in xt:
+                a *= f
+                for j, b in yt:
+                    acc[i + j] += a * b
+            t = xt[-1][0] + yt[-1][0]
+            if t > top:
+                top = t
+    return _canon(acc, top, den)
+
+
+def power(b, n: int):
+    """b**n for n >= 1 by repeated squaring, from the lowest set bit of n
+    and with no squaring past its top bit."""
+    r = None
+    while True:
+        if n & 1:
+            r = b if r is None else r * b
+        n >>= 1
+        if not n:
+            return r
+        b = b * b
 
 
 class Cyclo:
     """Element of Q(zeta_48) in canonical reduced form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms", "den")
 
-    def __init__(self, num, den=1):
-        # num: iterable of ints, den: int != 0 (rationals enter through
-        # from_rational and multiplication by a Fraction).
-        num = list(num)
-        if len(num) > DEGREE:
-            num = _reduce(num)
-        num += [0] * (DEGREE - len(num))
+    def __new__(cls, num, den=1):
+        # num: iterable of ints, any length; den: int != 0 (rationals enter
+        # through from_rational and multiplication by a Fraction)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            den = -den
-            num = [-x for x in num]
-        g = den
-        for x in num:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = [x // g for x in num]
-        self.num = tuple(num)
-        self.den = den
+        num = [-x for x in num] if den < 0 else list(num)
+        return _canon(num, len(num) - 1, abs(den))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(r) -> "Cyclo":
         r = Fraction(r)
-        return Cyclo([r.numerator] + [0] * 15, r.denominator)
+        return _canon([r.numerator], 0, r.denominator)
 
     @staticmethod
     def coerce(x) -> "Cyclo":
@@ -77,59 +126,49 @@ class Cyclo:
 
     # -- predicates / conversions ------------------------------------------
 
+    @property
+    def num(self) -> tuple:
+        """The dense coordinate 16-tuple."""
+        vec = [0] * DEGREE
+        for i, x in self.terms:
+            vec[i] = x
+        return tuple(vec)
+
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.terms
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return not self.terms or self.terms[-1][0] == 0
 
     def rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element: %r" % (self,))
-        return Fraction(self.num[0], self.den)
+        return Fraction(self.terms[0][1] if self.terms else 0, self.den)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Cyclo):
-            if isinstance(other, (int, Fraction)):
-                other = Cyclo.from_rational(other)
-            else:
-                return NotImplemented
-        a, b = self, other
-        num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
-        return Cyclo(num, a.den * b.den)
+        if not isinstance(other, (Cyclo, int, Fraction)):
+            return NotImplemented
+        return dot(((self, _ONE), (other, _ONE)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo([-x for x in self.num], self.den)
+        return dot((), ((self, _ONE),))
 
     def __sub__(self, other):
         if not isinstance(other, (Cyclo, int, Fraction)):
             return NotImplemented
-        return self + (-Cyclo.coerce(other))
+        return dot(((self, _ONE),), ((other, _ONE),))
 
     def __rsub__(self, other):
-        return Cyclo.coerce(other) + (-self)
+        return dot(((other, _ONE),), ((self, _ONE),))
 
     def __mul__(self, other):
-        if not isinstance(other, Cyclo):
-            if isinstance(other, int):
-                if other == 0:
-                    return _ZERO
-                return Cyclo([x * other for x in self.num], self.den)
-            if isinstance(other, Fraction):
-                return Cyclo([x * other.numerator for x in self.num],
-                             self.den * other.denominator)
+        if not isinstance(other, (Cyclo, int, Fraction)):
             return NotImplemented
-        out = [0] * 31
-        anz = [(i, x) for i, x in enumerate(self.num) if x]
-        bnz = [(j, y) for j, y in enumerate(other.num) if y]
-        for i, x in anz:
-            for j, y in bnz:
-                out[i + j] += x * y
-        return Cyclo(_reduce(out), self.den * other.den)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -144,7 +183,7 @@ class Cyclo:
         P = _ONE
         for k in _UNITS:
             vec = [0] * 48   # sigma_k maps zeta^i to zeta^(i*k)
-            for i, x in enumerate(self.num):
+            for i, x in self.terms:
                 vec[i * k % 48] += x
             P = P * Cyclo(vec, self.den)
         return P * (1 / (self * P).rational())
@@ -158,14 +197,7 @@ class Cyclo:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        r = _ONE
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n) if n else _ONE
 
     # -- comparison ----------------------------------------------------------
 
@@ -174,19 +206,18 @@ class Cyclo:
             return self.is_rational() and self.rational() == other
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.terms == other.terms and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.terms, self.den))
 
     def __repr__(self):
         if self.is_rational():
             return str(self.rational())
         parts = []
-        for i, x in enumerate(self.num):
-            if x:
-                coeff = Fraction(x, self.den)
-                parts.append(("%s" % coeff) if i == 0 else "%s*z^%d" % (coeff, i))
+        for i, x in self.terms:
+            coeff = Fraction(x, self.den)
+            parts.append(("%s" % coeff) if i == 0 else "%s*z^%d" % (coeff, i))
         return "(" + " + ".join(parts) + ")"
 
 
@@ -203,7 +234,8 @@ def sqrt2() -> Cyclo:
     return zeta_pow(6) + zeta_pow(-6)
 
 
-_ZERO = Cyclo([0])
+_ZERO = object.__new__(Cyclo)
+_ZERO.terms, _ZERO.den = (), 1
 _ONE = Cyclo([1])
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .cyclo import Cyclo, cyc_zero
+from .cyclo import Cyclo, cyc_zero, dot, power
 from .linalg import gauss_jordan
 from .qseries import GRID, QSeries, chi_ising_0, chi_ising_16, chi_ising_half
 
@@ -100,15 +100,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        r = MultiPoly.constant(1)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
+        return power(self, n) if n else MultiPoly.constant(1)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -147,24 +139,35 @@ class MultiPoly:
 
 
 def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
-    """Substitute x_s -> x_s + lam * x_t (s != t)."""
+    """Substitute x_s -> x_s + lam * x_t (s != t).
+
+    The terms that agree in every exponent but those of x_s and x_t, and in
+    the sum of those two, form a line, which the shear maps into itself: its
+    coefficient at x_s^a becomes sum_e c_e comb(e, a) lam^(e-a), one sum of
+    products per output term.
+    """
     if lam == 0:
         return P
-    powers = {0: 1}
-    out = {}
+    lines = {}
     for mono, c in P.terms.items():
-        e = mono[s]
-        if e == 0:
-            out[mono] = out.get(mono, 0) + c
-            continue
-        for r in range(e + 1):
-            if r not in powers:
-                powers[r] = _norm_coeff(powers[r - 1] * lam)
-            m = list(mono)
-            m[s] = e - r
-            m[t] += r
-            m = tuple(m)
-            out[m] = out.get(m, 0) + c * comb(e, r) * powers[r]
+        key = list(mono)
+        key[t] += key[s]
+        key[s] = 0
+        lines.setdefault(tuple(key), []).append((mono[s], c))
+    powers = [1]
+    table = {}  # e -> [comb(e, a) lam^(e-a) for a = 0..e]
+    out = {}
+    for key, line in lines.items():
+        for e, _ in line:
+            while len(powers) <= e:
+                powers.append(_norm_coeff(powers[-1] * lam))
+            if e not in table:
+                table[e] = [comb(e, a) * powers[e - a] for a in range(e + 1)]
+        for a in range(max(e for e, _ in line) + 1):
+            m = list(key)
+            m[s] = a
+            m[t] -= a
+            out[tuple(m)] = dot((c, table[e][a]) for e, c in line if e >= a)
     return MultiPoly(out)
 
 

@@ -171,6 +171,16 @@ def test_huge_extremal_rank_fails_fast(capsys, argv):
     assert code == 1 and out == "" and "budget" in err
 
 
+def test_huge_molien_degree_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "molien", "--rank", "1/2", "--deg", "100000000")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == "" and "budget" in err
+    # the degree every caller uses stays far inside the bound
+    code, out, _ = run(capsys, "molien", "--rank", "47/2", "--deg", "48")
+    assert code == 0 and "7 t^48" in out
+
+
 def test_order_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SVOA_ORDER", "2")
     code, out, _ = run(capsys, "series", "j")
@@ -218,6 +228,8 @@ def test_global_flags_after_subcommand(capsys):
     (None, ["classify", "--from", "8", "--to", "10", "--max", "9"]),
     (None, ["classify", "--from", "1/3", "--to", "1"]),
     (None, ["molien", "--rank", "1/2", "--deg", "-1"]),
+    (None, ["molien", "--rank", "1/2", "--cap", "0"]),
+    (None, ["molien", "--rank", "2", "--cap", "-3"]),
     (None, ["verlinde", "--rank", "1/3"]),
     (None, ["extremal-svoa", "--rank", "x"]),
 ])

@@ -6,7 +6,9 @@ from math import gcd
 
 import pytest
 
-from svoa.cyclo import Cyclo, sqrt2, zeta_pow
+import old_routes
+from old_routes import Dense
+from svoa.cyclo import Cyclo, cyc_zero, dot, power, sqrt2, zeta_pow
 
 
 def test_zeta_identities():
@@ -115,3 +117,114 @@ def test_mixed_scalar_ops():
     assert (z + 1) - 1 == z
     assert 2 / (z * z.inv() * 2) == 1
     assert (Fraction(3, 2) * z) / z == Fraction(3, 2)
+
+
+# -- the fused kernel against the per-operation route ---------------------------
+
+
+def _random_factor(rng):
+    """A Cyclo, int or Fraction; zero about one time in eight."""
+    kind = rng.randrange(8)
+    big = 10 ** 6
+    if kind == 0:
+        return rng.choice([0, Fraction(0), cyc_zero()])
+    if kind == 1:
+        return rng.randint(-big, big)
+    if kind == 2:
+        return Fraction(rng.randint(-big, big), rng.randint(1, 12))
+    nnz = rng.randint(1, 16)
+    vec = [0] * 16
+    for i in rng.sample(range(16), nnz):
+        vec[i] = rng.randint(-big, big)
+    return Cyclo(vec, rng.randint(1, 12))
+
+
+def _naive(pairs, minus=()):
+    acc = old_routes.ZERO
+    for x, y in pairs:
+        acc = acc + Dense.of(x) * Dense.of(y)
+    for x, y in minus:
+        acc = acc - Dense.of(x) * Dense.of(y)
+    return acc
+
+
+def _same(x, d):
+    return isinstance(x, Cyclo) and (x.num, x.den) == (d.num, d.den)
+
+
+def test_dot_matches_naive_sums():
+    rng = random.Random(4848)
+    for trial in range(300):
+        pairs = [(_random_factor(rng), _random_factor(rng))
+                 for _ in range(rng.randint(0, 6))]
+        minus = [(_random_factor(rng), _random_factor(rng))
+                 for _ in range(rng.randint(0, 3))]
+        assert _same(dot(pairs, minus), _naive(pairs, minus)), trial
+        assert _same(dot(iter(pairs)), _naive(pairs)), trial
+
+
+def test_ring_operations_match_per_operation_route():
+    rng = random.Random(96)
+    for _ in range(200):
+        x, y = _random_factor(rng), _random_factor(rng)
+        if not isinstance(x, Cyclo):
+            x = Cyclo.coerce(x)
+        dx, dy = Dense.of(x), Dense.of(y)
+        assert _same(x + y, dx + dy) and _same(y + x, dx + dy)
+        assert _same(x - y, dx - dy) and _same(y - x, dy - dx)
+        assert _same(x * y, dx * dy) and _same(y * x, dx * dy)
+        assert _same(-x, -dx)
+
+
+def test_zero_sum_is_canonical_zero():
+    z = zeta_pow(5) * Fraction(7, 12) + 3
+    for s in (dot([(z, 2)], [(z, 2)]), dot([(z, 1), (z, -1)]), z - z,
+              dot([]), dot([(0, z), (z, Fraction(0))]), z * 0):
+        assert s == Cyclo([0]) and hash(s) == hash(Cyclo([0]))
+        assert s is cyc_zero() and s.num == (0,) * 16 and s.den == 1
+
+
+def test_dense_num_round_trip():
+    rng = random.Random(16)
+    for _ in range(100):
+        x = _random_factor(rng)
+        x = Cyclo.coerce(x)
+        assert Cyclo(x.num, x.den) == x
+        assert x.terms == tuple((i, v) for i, v in enumerate(x.num) if v)
+
+
+def test_mixing_other_types_is_a_type_error():
+    with pytest.raises(TypeError):
+        zeta_pow(1) + 1.5
+    with pytest.raises(TypeError):
+        dot([(zeta_pow(1), "2")])
+
+
+class _Counted:
+    """An integer that counts the multiplications made with it."""
+
+    count = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        _Counted.count += 1
+        return _Counted(self.v * other.v)
+
+
+def test_power_uses_the_minimal_binary_chain():
+    for n in range(1, 130):
+        _Counted.count = 0
+        assert power(_Counted(3), n).v == 3 ** n
+        # squarings up to the top bit, one product per further set bit
+        assert _Counted.count == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
+def test_cyclo_power_matches_repeated_products():
+    z = sqrt2() + zeta_pow(7) * Fraction(1, 3)
+    acc = Cyclo([1])
+    for n in range(0, 40):
+        assert z ** n == acc
+        assert z ** -n == acc.inv()
+        acc = acc * z

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import old_routes
+from svoa import invariants
 from svoa.cyclo import zeta_pow
 from svoa.invariants import (ConstraintError, DEFAULT_CONSTRAINTS, MultiPoly,
                              basis_invariants, basis_rank, check_invariance,
@@ -164,3 +166,28 @@ def test_basis_products_invariant():
     T, S = character_rep(Fraction(1, 2))
     for b in degree48_basis()[:3]:
         assert poly_act(T, b) == b
+
+
+@pytest.mark.parametrize("gname", ["S", "ST", "TS"])
+def test_poly_act_matches_push_style_shear(gname, monkeypatch):
+    T, S = character_rep(Fraction(1, 2))
+    g = {"S": S, "ST": S * T, "TS": T * S}[gname]
+    _, p2, p3, p4 = basis_invariants()
+    fused = [poly_act(g, p) for p in (p2, p3, p4)]
+    monkeypatch.setattr(invariants, "_shear", old_routes.shear)
+    assert fused == [poly_act(g, p) for p in (p2, p3, p4)]
+
+
+def test_shear_matches_push_style_shear():
+    rng = random.Random(1152)
+    _, p2, p3, p4 = basis_invariants()
+    lams = [zeta_pow(7), zeta_pow(6) + zeta_pow(42), Fraction(-3, 4), 5,
+            zeta_pow(12) * Fraction(1, 2) + Fraction(1, 3)]
+    cyc = MultiPoly({(rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)):
+                     zeta_pow(rng.randrange(48)) * rng.randint(-9, 9)
+                     for _ in range(12)})
+    for P in (p2, p3, cyc, MultiPoly.zero()):
+        for s, t in ((0, 1), (1, 0), (2, 0), (1, 2)):
+            for lam in lams:
+                assert invariants._shear(P, s, t, lam) == old_routes.shear(P, s, t, lam)
+    assert invariants._shear(p4, 2, 0, lams[1]) == old_routes.shear(p4, 2, 0, lams[1])

@@ -1,9 +1,11 @@
 """Modular representation matrices, group closure, Molien series, fusion."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import old_routes
 from svoa.cyclo import sqrt2, zeta_pow
 from svoa.modrep import (CycMatrix, _check_relations, character_rep,
                          generate_group, molien, quantum_dimensions, verlinde)
@@ -146,3 +148,66 @@ def test_broken_relations_are_arithmetic_errors():
     with pytest.raises(ArithmeticError, match="modular relations"):
         _check_relations(CycMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
                          CycMatrix.identity(3))
+
+
+# -- the fused kernel against the per-operation routes ---------------------------
+
+
+def _coordinates(rows):
+    return tuple(tuple((x.num, x.den) for x in r) for r in rows)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(47, 2)])
+def test_group_elements_match_triple_loop_closure(c):
+    T, S = character_rep(c)
+    G = generate_group([S, T])
+    oracle = old_routes.generate_group([old_routes.dense_matrix(S),
+                                        old_routes.dense_matrix(T)])
+    assert {_coordinates(g.rows) for g in G.elements} == {_coordinates(g) for g in oracle}
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 2])
+def test_molien_matches_per_operation_route(c):
+    T, S = character_rep(c)
+    G = generate_group([S, T])
+    rho = molien(G, 48)
+    elements = [old_routes.dense_matrix(g) for g in G.elements]
+    assert [rho.coeff(GRID * k) for k in range(49)] == old_routes.molien(elements, 48)
+
+
+def test_minors_match_cofactor_route():
+    T, S = character_rep(1)
+    for g in (S, T, S * T, T * S * S * T):
+        rows = old_routes.dense_matrix(g)
+        for k in range(1, 5):
+            oracle = old_routes.ZERO
+            for idx in combinations(range(4), k):
+                oracle = oracle + old_routes.det([[rows[i][j] for j in idx] for i in idx])
+            e = g.elementary_symmetric(k)
+            assert (e.num, e.den) == (oracle.num, oracle.den)
+        t, oracle = g.trace(), old_routes.ZERO
+        for i in range(4):
+            oracle = oracle + rows[i][i]
+        assert (t.num, t.den) == (oracle.num, oracle.den)
+
+
+def test_matrix_powers_skip_identity_products(monkeypatch):
+    T, S = character_rep(Fraction(1, 2))
+    ST = S * T
+    count = [0]
+    mul = CycMatrix.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+    for base, k, products in ((S, 4, 2), (ST, 6, 3), (ST, 3, 2), (S, 1, 0)):
+        count[0] = 0
+        p = base ** k
+        assert count[0] == products
+        q = CycMatrix.identity(base.n)
+        for _ in range(k):
+            q = mul(q, base)
+        assert p == q
+    assert (S ** 0).is_identity()
