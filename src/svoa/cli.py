@@ -52,6 +52,23 @@ def _order(text) -> int:
     return order
 
 
+def _constraints(path):
+    """The rows of a --constraints file: a JSON list of [i, j, k, value]
+    with integer i, j, k and an integer or "p/q" string value."""
+    with open(path) as fh:
+        try:
+            rows = json.load(fh)
+        except ValueError:
+            rows = None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 4 and type(row[3]) in (int, str)
+            and all(type(e) is int for e in row[:3]) for row in rows):
+        raise argparse.ArgumentTypeError(
+            "%s is not a JSON list of [i, j, k, value] rows with integer i, j, "
+            "k and an integer or \"p/q\" value" % path)
+    return [(tuple(row[:3]), _rational(row[3])) for row in rows]
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="svoa", description=__doc__.splitlines()[0])
     # every subcommand accepts the global flags too; SUPPRESS keeps an absent
@@ -88,7 +105,7 @@ def _build_parser() -> _Parser:
     cl.add_argument("--max", dest="cmax", type=_rank, default=Fraction(56))
 
     mp = sub.add_parser("monster-poly", help="solve the weight enumerator")
-    mp.add_argument("--constraints", default=None,
+    mp.add_argument("--constraints", type=_constraints, default=None,
                     help="JSON file [[i,j,k,\"value\"], ...] overriding the "
                          "default constraint set")
 
@@ -121,12 +138,11 @@ def _emit_series(x: QSeries, fmt: str):
 
 
 def _solution_lines(sol):
-    rows = ["rank %s  kind %s  k=%d" % (sol.c, sol.kind, sol.k),
+    return ["rank %s  kind %s  k=%d" % (sol.c, sol.kind, sol.k),
             "a = [%s]" % ", ".join(str(x) for x in sol.a),
             "character = %s" % sol.series,
             "A = {%s}" % ", ".join("%s: %s" % (n, v)
                                    for n, v in sorted(sol.A.items()))]
-    return rows
 
 
 def _solution_json(sol):
@@ -173,15 +189,8 @@ def run(argv) -> int:
                                     h=args.weight)
         _emit_series(x, fmt)
 
-    elif cmd == "extremal-voa":
-        sol = extremal.extremal_voa(args.rank)
-        if fmt == "json":
-            print(json.dumps(_solution_json(sol)))
-        else:
-            print("\n".join(_solution_lines(sol)))
-
-    elif cmd == "extremal-svoa":
-        sol = extremal.extremal_svoa(args.rank)
+    elif cmd in ("extremal-voa", "extremal-svoa"):
+        sol = getattr(extremal, cmd.replace("-", "_"))(args.rank)
         if fmt == "json":
             print(json.dumps(_solution_json(sol)))
         else:
@@ -209,10 +218,8 @@ def run(argv) -> int:
 
     elif cmd == "monster-poly":
         if args.constraints:
-            with open(args.constraints) as fh:
-                rows = json.load(fh)
-            cs = [((int(i), int(j), int(k)), Fraction(v)) for i, j, k, v in rows]
-            P = invariants.solve_monster_polynomial(cs, verify_published=False)
+            P = invariants.solve_monster_polynomial(args.constraints,
+                                                    verify_published=False)
         else:
             P = invariants.monster_polynomial()
         if fmt == "json":

@@ -209,7 +209,14 @@ class Cyclo:
         return self.terms == other.terms and self.den == other.den
 
     def __hash__(self):
-        return hash((self.terms, self.den))
+        # a rational element hashes as the int or Fraction it equals
+        terms, den = self.terms, self.den
+        if not terms:
+            return 0
+        if terms[-1][0]:
+            return hash((terms, den))
+        x = terms[0][1]
+        return hash(x) if den == 1 else hash(Fraction(x, den))
 
     def __repr__(self):
         if self.is_rational():

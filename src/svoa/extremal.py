@@ -9,17 +9,23 @@ extremal solution matches the vacuum character to the maximal order; the
 shadow is the same combination re-expanded at the other cusp, where
 nonnegativity and integrality of the coefficients become necessary
 existence conditions.
+
+Both kinds run through one code path: the kind table `_KINDS` holds what
+differs as plain data, `_powers` builds the generator powers of the solve,
+the decomposition and the shadow, and the solve and `decompose_character`
+are one unitriangular `_peel`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
 
-from .qseries import (GRID, QSeries, _prod_half_steps, _prod_one_plus_qn,
-                      cbrt_j, chi_half, cusp1_chi_half, euler_product,
-                      j_function, j_theta, vacuum)
+from .qseries import (GRID, QSeries, _norm_coeff, _prod_half_steps,
+                      _prod_one_plus_qn, cbrt_j, chi_half, cusp1_chi_half,
+                      euler_product, j_function, j_theta, vacuum)
 
 VOA = "VOA"
 SVOA = "SVOA"
@@ -50,14 +56,6 @@ class ExtremalError(ValueError):
 WORK_BUDGET = 5_000_000
 
 
-def _check_work(c, k, rel, step):
-    """Refuse a solve before any series is built when it is too large."""
-    work = (k + 1) * (rel // step) ** 2
-    if work > WORK_BUDGET:
-        raise ExtremalError("rank %s needs about %d coefficient products, over "
-                            "the budget of %d" % (c, work, WORK_BUDGET))
-
-
 class NotDecomposableError(ValueError):
     pass
 
@@ -71,39 +69,65 @@ class ExtremalSolution:
     series: QSeries         # the extremal character
     A: dict                 # n -> A_n, n = k+1 .. window (steps of q or q^(1/2))
 
-    @property
-    def step(self):
-        return Fraction(1) if self.kind == VOA else Fraction(1, 2)
+
+# per kind: the generator, the rank per unit of its exponent, the exponent
+# drop and grid step per basis element, k = floor(c / kdiv), the hauptmodul
+# and the extra working order of the Lagrange check
+_Kind = namedtuple("_Kind", "gen unit drop step kdiv haupt extra")
+_KINDS = {VOA: _Kind(cbrt_j, Fraction(8), 3, GRID, 24, j_function, 0),
+          SVOA: _Kind(chi_half, Fraction(1, 2), 24, 24, 8, j_theta, GRID)}
 
 
-def _voa_basis(c: Fraction, k: int, rel_trunc: int):
-    base = cbrt_j(rel_trunc + GRID)
-    exps = [int(c / 8) - 3 * r for r in range(k + 1)]
-    return [base ** e for e in exps]
+def _kind(kind):
+    if kind not in (VOA, SVOA):
+        raise ValueError("kind must be VOA or SVOA")
+    return _KINDS[kind]
 
 
-def _svoa_basis(c: Fraction, k: int, rel_trunc: int):
-    base = chi_half(rel_trunc + GRID)
-    exps = [int(2 * c) - 24 * r for r in range(k + 1)]
-    return [base ** e for e in exps]
+def _powers(base: QSeries, top: int, drop: int, k: int):
+    """[base^top, base^(top - drop), ..., base^(top - k*drop)]."""
+    return [base ** (top - drop * r) for r in range(k + 1)]
 
 
-def _solve_triangular(c, basis, step_idx, k, rel_trunc):
-    """Match the vacuum character through the first k steps beyond the
-    leading term.  Each basis element r leads at index -2c + r*step_idx
-    with coefficient 1, so the system is unitriangular."""
+def _basis(c: Fraction, kd, rel: int):
+    """The generator powers of rank c, each valid rel past its lead."""
+    return _powers(kd.gen(rel + GRID), int(c / kd.unit), kd.drop, int(c // kd.kdiv))
+
+
+def _peel(x: QSeries, basis, lead: int, step: int):
+    """Peel x against a unitriangular basis: basis[r] leads at index
+    lead + r*step with coefficient 1.  Returns the a_r and the partial sum
+    of the a_r * basis[r], which matches x at every leading index."""
+    a = []
+    partial = QSeries.zero(x.trunc)
+    for r, b in enumerate(basis):
+        idx = lead + r * step
+        ar = Fraction(x.coeff(idx) - partial.coeff(idx))
+        a.append(ar)
+        if ar:
+            partial = partial + b.scale(_norm_coeff(ar))
+    return a, partial
+
+
+def _extremal(c: Fraction, kind: str, window, margin: int) -> ExtremalSolution:
+    """Match the vacuum character through the first k steps beyond its
+    leading term; A_n are the coefficients of the ratio to the vacuum
+    character at steps k+1 .. window (default k + margin)."""
+    kd = _KINDS[kind]
+    k = int(c // kd.kdiv)
+    if window is None:
+        window = k + margin
+    rel = GRID * max(k + 3, window * kd.step // GRID + 2, 11)
+    work = (k + 1) * (rel // kd.step) ** 2  # refused before any series is built
+    if work > WORK_BUDGET:
+        raise ExtremalError("rank %s needs about %d coefficient products, over "
+                            "the budget of %d" % (c, work, WORK_BUDGET))
     lead = int(-2 * c)
-    vac = vacuum(c, lead + rel_trunc)
-    a = [Fraction(1)]
-    partial = basis[0].truncate(lead + rel_trunc)
-    for n in range(1, k + 1):
-        idx = lead + n * step_idx
-        an = Fraction(vac.coeff(idx) - partial.coeff(idx))
-        a.append(an)
-        if an:
-            partial = partial + basis[n].scale(an)
-    ratio = partial * vac.inv()
-    return a, partial, ratio
+    vac = vacuum(c, lead + rel)
+    a, series = _peel(vac, _basis(c, kd, rel), lead, kd.step)
+    ratio = series * vac.inv()
+    A = {n: Fraction(ratio.coeff(kd.step * n)) for n in range(k + 1, window + 1)}
+    return ExtremalSolution(c=c, kind=kind, k=k, a=a, series=series, A=A)
 
 
 def extremal_voa(c, window=None) -> ExtremalSolution:
@@ -111,19 +135,11 @@ def extremal_voa(c, window=None) -> ExtremalSolution:
     c = Fraction(c)
     if c % 8 != 0 or c < 8:
         raise ExtremalError("extremal VOA rank must be a multiple of 8, >= 8; got %s" % c)
-    k = int(c // 24)
-    if window is None:
-        window = k + 6
-    rel = GRID * max(k + 3, window + 2, 11)
-    _check_work(c, k, rel, GRID)
-    basis = _voa_basis(c, k, rel)
-    a, series, ratio = _solve_triangular(c, basis, GRID, k, rel)
-    A = {}
-    for n in range(k + 1, window + 1):
-        A[n] = Fraction(ratio.coeff(GRID * n))
+    sol = _extremal(c, VOA, window, 6)
+    A, k = sol.A, sol.k
     if not (A[k + 1] > 0 and A[k + 2] - A[k + 1] > 0):
         raise ArithmeticError("extremality positivity fails at c=%s: A=%s" % (c, A))
-    return ExtremalSolution(c=c, kind=VOA, k=k, a=a, series=series, A=A)
+    return sol
 
 
 def extremal_svoa(c, window=None) -> ExtremalSolution:
@@ -131,17 +147,7 @@ def extremal_svoa(c, window=None) -> ExtremalSolution:
     c = Fraction(c)
     if (2 * c).denominator != 1 or c < Fraction(1, 2):
         raise ExtremalError("extremal SVOA rank must be half-integral and >= 1/2; got %s" % c)
-    k = int(floor(c / 8))
-    if window is None:
-        window = k + 12
-    rel = GRID * max(k + 3, window // 2 + 2, 11)
-    _check_work(c, k, rel, 24)
-    basis = _svoa_basis(c, k, rel)
-    a, series, ratio = _solve_triangular(c, basis, 24, k, rel)
-    A = {}
-    for n in range(k + 1, window + 1):
-        A[n] = Fraction(ratio.coeff(24 * n))
-    return ExtremalSolution(c=c, kind=SVOA, k=k, a=a, series=series, A=A)
+    return _extremal(c, SVOA, window, 12)
 
 
 # -- series-inversion cross-check ----------------------------------------------
@@ -155,22 +161,12 @@ def buermann_alpha(c, r: int, kind: str) -> Fraction:
     c = Fraction(c)
     if r < 1:
         raise ValueError("r must be >= 1")
-    if kind == VOA:
-        step = GRID
-        rel = GRID * (r + 4)
-        base = cbrt_j(rel + GRID)
-        weight = -int(c / 8)
-        haupt = j_function(rel + 2 * GRID).shift(GRID)  # q * j, monic
-    elif kind == SVOA:
-        step = 24
-        rel = 24 * (r + 4) + GRID
-        base = chi_half(rel + GRID)
-        weight = -int(2 * c)
-        haupt = j_theta(rel + 2 * GRID).shift(24)  # p * j_theta, monic in p
-    else:
-        raise ValueError("kind must be VOA or SVOA")
+    kd = _kind(kind)
+    step = kd.step
+    rel = step * (r + 4) + kd.extra
     vac = vacuum(c, rel)
-    g = vac * (base ** weight)
+    g = vac * (kd.gen(rel + GRID) ** -int(c / kd.unit))
+    haupt = kd.haupt(rel + 2 * GRID).shift(step)  # monic in q^(step/48)
     h = g.derivative(step) * (haupt ** r)
     for _ in range(r - 1):
         if h.trunc <= 0:
@@ -185,28 +181,14 @@ def decompose_character(x: QSeries, c, kind: str):
     """Express x as sum_r a_r * (generator power) for rank c; the residual
     must vanish to the available truncation."""
     c = Fraction(c)
+    kd = _kind(kind)
     lead = int(-2 * c)
     if x.lead != lead:
         raise NotDecomposableError("leading exponent index %s, expected %s"
                                    % (x.lead, lead))
-    if kind == VOA:
-        k = int(c // 24)
-        step = GRID
-        rel = x.trunc - lead
-        basis = _voa_basis(c, k, rel)
-    else:
-        k = int(floor(c / 8))
-        step = 24
-        rel = x.trunc - lead
-        basis = _svoa_basis(c, k, rel)
-    a = []
-    residual = x
-    for r in range(k + 1):
-        ar = Fraction(residual.coeff(lead + r * step))
-        a.append(ar)
-        if ar:
-            residual = residual - basis[r].scale(ar)
-    if not residual.truncate(x.trunc).is_zero():
+    a, partial = _peel(x, _basis(c, kd, x.trunc - lead), lead, kd.step)
+    residual = x - partial
+    if not residual.is_zero():
         raise NotDecomposableError(
             "residual is nonzero from index %s on: not a self-dual character "
             "of rank %s" % (residual.lead, c))
@@ -230,10 +212,7 @@ class ShadowReport:
     def head(self, nterms=3):
         """First terms as (exponent relative to q^(-c/24), coefficient)."""
         rel = self.B.shift(int(2 * self.c))
-        out = []
-        for n in rel.support()[:nterms]:
-            out.append((Fraction(n, GRID), rel.coeffs[n]))
-        return out
+        return [(Fraction(n, GRID), rel.coeffs[n]) for n in rel.support()[:nterms]]
 
 
 def shadow(sol: ExtremalSolution) -> ShadowReport:
@@ -249,28 +228,19 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
         raise ValueError("shadow applies to SVOA solutions")
     c = sol.c
     k = sol.k
+    top = int(2 * c)
     rel = sol.series.trunc - sol.series.lead
     w = cusp1_chi_half(rel + GRID)
-    half_integral = (2 * c) % 2 == 1
     B = QSeries.zero(w.trunc)
-    for r, ar in enumerate(sol.a):
-        m = int(2 * c) - 24 * r
-        if half_integral:
-            two_pow = Fraction(2) ** ((m - 1) // 2)
-        else:
-            two_pow = Fraction(2) ** (m // 2)
-        term = (w ** m).scale(ar * (-1) ** r * two_pow)
-        B = B + term
-    neg = non_int = None
-    for n in B.support():
-        x = B.coeffs[n]
-        e = Fraction(n, GRID) + c / 24
-        if neg is None and x < 0:
-            neg = (e, x)
-        if non_int is None and Fraction(x).denominator != 1:
-            non_int = (e, x)
+    # m = 2c - 24r is odd exactly for c in Z+1/2, where m // 2 = (m - 1) // 2
+    for r, (ar, wm) in enumerate(zip(sol.a, _powers(w, top, 24, k))):
+        m = top - 24 * r
+        B = B + wm.scale(ar * (-1) ** r * Fraction(2) ** (m // 2))
+    terms = [(Fraction(n, GRID) + c / 24, B.coeffs[n]) for n in B.support()]
+    neg = next((t for t in terms if t[1] < 0), None)
+    non_int = next((t for t in terms if Fraction(t[1]).denominator != 1), None)
     first = Fraction(B.lead_coeff) if not B.is_zero() else Fraction(0)
-    return ShadowReport(c=c, s=int(2 * c) - 24 * k, B=B, first_coeff=first,
+    return ShadowReport(c=c, s=top - 24 * k, B=B, first_coeff=first,
                         integral=non_int is None, nonneg=neg is None,
                         first_negative=neg, first_non_integral=non_int)
 
@@ -288,13 +258,10 @@ class Verdict:
     tail_signs: tuple = None        # (a_{k-1}, a_k) recorded for c >= 48
 
     def to_json(self):
-        out = {"rank": str(self.c), "status": self.status,
-               "name": self.name,
-               "arguments": sorted(self.arguments),
-               "shadow_head": []}
-        if self.shadow is not None:
-            out["shadow_head"] = [[str(e), str(v)] for e, v in self.shadow.head()]
-        return out
+        head = self.shadow.head() if self.shadow is not None else ()
+        return {"rank": str(self.c), "status": self.status, "name": self.name,
+                "arguments": sorted(self.arguments),
+                "shadow_head": [[str(e), str(v)] for e, v in head]}
 
 
 def classify(c, cmax=56) -> Verdict:
@@ -337,13 +304,9 @@ def classify(c, cmax=56) -> Verdict:
 
 def classify_range(cfrom, cto, cmax=56):
     """Verdicts on the half-integer grid, ordered by rank."""
-    cfrom, cto = Fraction(cfrom), Fraction(cto)
-    out = []
-    c = cfrom
-    while c <= cto:
-        out.append(classify(c, cmax=cmax))
-        c += Fraction(1, 2)
-    return out
+    cfrom = Fraction(cfrom)
+    steps = floor(2 * (Fraction(cto) - cfrom))
+    return [classify(cfrom + Fraction(n, 2), cmax=cmax) for n in range(steps + 1)]
 
 
 # -- highest-weight enumeration -------------------------------------------------------

@@ -147,7 +147,6 @@ def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
         upper = i_unit * Fraction(1, 2)
     else:
         upper = Cyclo.from_rational(half)
-    candidates = []
     for sgn in (1, -1):
         u = upper * sgn
         S = CycMatrix([[half, half, half, half],
@@ -155,12 +154,8 @@ def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
                        [half, -half, -u, u],
                        [half, -half, u, -u]])
         if _relations_hold(S, T):
-            candidates.append(S)
-    if not candidates:
-        raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)
-    S = candidates[0]
-    _check_relations(S, T)
-    return T, S
+            return T, S
+    raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)
 
 
 def _diag_matrix(entries):

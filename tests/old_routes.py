@@ -1,5 +1,7 @@
-"""The routes that svoa.cyclo's fused sum-of-products kernel replaced, kept
-as independent oracles for it.
+"""Replaced routes, kept as independent oracles for the code that replaced
+them: the one-operation-at-a-time Q(zeta_48) routes behind svoa.cyclo's
+fused sum-of-products kernel, and the per-kind extremal routes behind
+svoa.extremal's kind table.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -12,10 +14,14 @@ Nothing here calls `svoa.cyclo.dot`; results are compared through
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, floor, gcd
 
 from svoa.cyclo import Cyclo
+from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
+                           ExtremalSolution, NotDecomposableError, ShadowReport)
 from svoa.invariants import MultiPoly
+from svoa.qseries import (GRID, QSeries, cbrt_j, chi_half, cusp1_chi_half,
+                          vacuum)
 
 DEGREE = 16
 
@@ -252,3 +258,159 @@ def shear(P, s, t, lam):
             out[m] = out.get(m, 0) + c * comb(e, r) * powers[r]
     return MultiPoly({m: c.cyclo() if isinstance(c, Dense) else c
                       for m, c in out.items()})
+
+
+# -- the extremal routes that the kind table and the shared peel replaced ------
+#
+# The two basis builders, the unitriangular solve, the two solves, the
+# decomposition loop and the shadow, each written out per kind as they were
+# before svoa.extremal ran both kinds through one `_powers`/`_peel` path.
+# They build their own generator powers and take nothing from svoa.extremal
+# but its constants, errors and result dataclasses.
+
+
+def _check_work(c, k, rel, step):
+    """Refuse a solve before any series is built when it is too large."""
+    work = (k + 1) * (rel // step) ** 2
+    if work > WORK_BUDGET:
+        raise ExtremalError("rank %s needs about %d coefficient products, over "
+                            "the budget of %d" % (c, work, WORK_BUDGET))
+
+
+def _voa_basis(c: Fraction, k: int, rel_trunc: int):
+    base = cbrt_j(rel_trunc + GRID)
+    exps = [int(c / 8) - 3 * r for r in range(k + 1)]
+    return [base ** e for e in exps]
+
+
+def _svoa_basis(c: Fraction, k: int, rel_trunc: int):
+    base = chi_half(rel_trunc + GRID)
+    exps = [int(2 * c) - 24 * r for r in range(k + 1)]
+    return [base ** e for e in exps]
+
+
+def _solve_triangular(c, basis, step_idx, k, rel_trunc):
+    """Match the vacuum character through the first k steps beyond the
+    leading term.  Each basis element r leads at index -2c + r*step_idx
+    with coefficient 1, so the system is unitriangular."""
+    lead = int(-2 * c)
+    vac = vacuum(c, lead + rel_trunc)
+    a = [Fraction(1)]
+    partial = basis[0].truncate(lead + rel_trunc)
+    for n in range(1, k + 1):
+        idx = lead + n * step_idx
+        an = Fraction(vac.coeff(idx) - partial.coeff(idx))
+        a.append(an)
+        if an:
+            partial = partial + basis[n].scale(an)
+    ratio = partial * vac.inv()
+    return a, partial, ratio
+
+
+def extremal_voa(c, window=None) -> ExtremalSolution:
+    """Extremal self-dual VOA character of rank c in 8Z, c >= 8."""
+    c = Fraction(c)
+    if c % 8 != 0 or c < 8:
+        raise ExtremalError("extremal VOA rank must be a multiple of 8, >= 8; got %s" % c)
+    k = int(c // 24)
+    if window is None:
+        window = k + 6
+    rel = GRID * max(k + 3, window + 2, 11)
+    _check_work(c, k, rel, GRID)
+    basis = _voa_basis(c, k, rel)
+    a, series, ratio = _solve_triangular(c, basis, GRID, k, rel)
+    A = {}
+    for n in range(k + 1, window + 1):
+        A[n] = Fraction(ratio.coeff(GRID * n))
+    if not (A[k + 1] > 0 and A[k + 2] - A[k + 1] > 0):
+        raise ArithmeticError("extremality positivity fails at c=%s: A=%s" % (c, A))
+    return ExtremalSolution(c=c, kind=VOA, k=k, a=a, series=series, A=A)
+
+
+def extremal_svoa(c, window=None) -> ExtremalSolution:
+    """Extremal self-dual SVOA character of rank c in (1/2)Z, c >= 1/2."""
+    c = Fraction(c)
+    if (2 * c).denominator != 1 or c < Fraction(1, 2):
+        raise ExtremalError("extremal SVOA rank must be half-integral and >= 1/2; got %s" % c)
+    k = int(floor(c / 8))
+    if window is None:
+        window = k + 12
+    rel = GRID * max(k + 3, window // 2 + 2, 11)
+    _check_work(c, k, rel, 24)
+    basis = _svoa_basis(c, k, rel)
+    a, series, ratio = _solve_triangular(c, basis, 24, k, rel)
+    A = {}
+    for n in range(k + 1, window + 1):
+        A[n] = Fraction(ratio.coeff(24 * n))
+    return ExtremalSolution(c=c, kind=SVOA, k=k, a=a, series=series, A=A)
+
+
+def decompose_character(x: QSeries, c, kind: str):
+    """Express x as sum_r a_r * (generator power) for rank c; the residual
+    must vanish to the available truncation."""
+    c = Fraction(c)
+    lead = int(-2 * c)
+    if x.lead != lead:
+        raise NotDecomposableError("leading exponent index %s, expected %s"
+                                   % (x.lead, lead))
+    if kind == VOA:
+        k = int(c // 24)
+        step = GRID
+        rel = x.trunc - lead
+        basis = _voa_basis(c, k, rel)
+    else:
+        k = int(floor(c / 8))
+        step = 24
+        rel = x.trunc - lead
+        basis = _svoa_basis(c, k, rel)
+    a = []
+    residual = x
+    for r in range(k + 1):
+        ar = Fraction(residual.coeff(lead + r * step))
+        a.append(ar)
+        if ar:
+            residual = residual - basis[r].scale(ar)
+    if not residual.truncate(x.trunc).is_zero():
+        raise NotDecomposableError(
+            "residual is nonzero from index %s on: not a self-dual character "
+            "of rank %s" % (residual.lead, c))
+    return a
+
+
+def shadow(sol: ExtremalSolution) -> ShadowReport:
+    """Re-expand the extremal character at the other cusp.
+
+    The result is the sum of the twisted-module characters for integral
+    rank, and the single twisted character (the 1/sqrt(2) normalization
+    already applied) for c in Z+1/2.  B sums powers of the rational cusp-1
+    expansion with rational scales, so it is rational as built; the parity
+    bookkeeping of the sqrt(2) powers is integer arithmetic.
+    """
+    if sol.kind != SVOA:
+        raise ValueError("shadow applies to SVOA solutions")
+    c = sol.c
+    k = sol.k
+    rel = sol.series.trunc - sol.series.lead
+    w = cusp1_chi_half(rel + GRID)
+    half_integral = (2 * c) % 2 == 1
+    B = QSeries.zero(w.trunc)
+    for r, ar in enumerate(sol.a):
+        m = int(2 * c) - 24 * r
+        if half_integral:
+            two_pow = Fraction(2) ** ((m - 1) // 2)
+        else:
+            two_pow = Fraction(2) ** (m // 2)
+        term = (w ** m).scale(ar * (-1) ** r * two_pow)
+        B = B + term
+    neg = non_int = None
+    for n in B.support():
+        x = B.coeffs[n]
+        e = Fraction(n, GRID) + c / 24
+        if neg is None and x < 0:
+            neg = (e, x)
+        if non_int is None and Fraction(x).denominator != 1:
+            non_int = (e, x)
+    first = Fraction(B.lead_coeff) if not B.is_zero() else Fraction(0)
+    return ShadowReport(c=c, s=int(2 * c) - 24 * k, B=B, first_coeff=first,
+                        integral=non_int is None, nonneg=neg is None,
+                        first_negative=neg, first_non_integral=non_int)

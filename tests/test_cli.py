@@ -232,10 +232,26 @@ def test_global_flags_after_subcommand(capsys):
     (None, ["molien", "--rank", "2", "--cap", "-3"]),
     (None, ["verlinde", "--rank", "1/3"]),
     (None, ["extremal-svoa", "--rank", "x"]),
+    # a --constraints argument here is the file's text, not its path
+    (None, ["monster-poly", "--constraints", "5"]),
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0, null]]']),
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0]]']),
+    (None, ["monster-poly", "--constraints", '[[47.5, 0, 0, "1"]]']),
+    (None, ["monster-poly", "--constraints", '[[48, 0, true, "1"]]']),
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0, 0.5]]']),
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1/0"]]']),
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1"], 7]']),
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1"'])
 ])
-def test_usage_errors_exit_64_before_work(capsys, monkeypatch, env_order, argv):
+def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
+                                          env_order, argv):
     if env_order is not None:
         monkeypatch.setenv("SVOA_ORDER", env_order)
+    if "--constraints" in argv:
+        i = argv.index("--constraints") + 1
+        path = tmp_path / "constraints.json"
+        path.write_text(argv[i])
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()

@@ -111,6 +111,18 @@ def test_canonical_hashing():
     assert len({zeta_pow(k % 48) for k in range(96)}) == 48
 
 
+def test_rational_hash_agrees_with_eq():
+    # a rational element is interchangeable with the int or Fraction it equals
+    for r in (0, 2, -7, Fraction(1, 2), Fraction(-22, 3), 10 ** 30 + 1):
+        x = Cyclo.from_rational(r)
+        assert x == r and hash(x) == hash(r)
+        assert r in {x} and x in {r} and {x: 1}[r] == 1
+    assert 0 in {Cyclo([0])} and 2 in {zeta_pow(24) * -2}
+    half = (zeta_pow(8) + zeta_pow(40)) * Fraction(1, 2)  # cos(pi/3)
+    assert Fraction(1, 2) in {half} and half in {Fraction(1, 2)}
+    assert zeta_pow(1) not in {Fraction(0)}
+
+
 def test_mixed_scalar_ops():
     z = zeta_pow(5)
     assert z * 0 == Cyclo.from_rational(0)

@@ -1,10 +1,12 @@
 """Extremal solutions, the inversion-formula cross-check, shadows and
 verdicts."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
+import old_routes
 from svoa.extremal import (E_RANKS, ExtremalError, NotDecomposableError,
                            buermann_alpha, classify, classify_range,
                            decompose_character, extremal_svoa, extremal_voa,
@@ -158,6 +160,67 @@ def test_existence_shadows_clean():
             continue
         rep = shadow(extremal_svoa(c))
         assert rep.integral and rep.nonneg, c
+
+
+# -- the per-kind routes as oracle -------------------------------------------------
+
+
+def same_series(x, y):
+    return x.coeffs == y.coeffs and x.trunc == y.trunc
+
+
+def same_solution(new, old):
+    assert (new.c, new.kind, new.k, new.a, new.A) == \
+        (old.c, old.kind, old.k, old.a, old.A)
+    assert same_series(new.series, old.series)
+
+
+def same_decomposition(x, c, kind):
+    try:
+        old = old_routes.decompose_character(x, c, kind)
+    except NotDecomposableError as exc:
+        with pytest.raises(NotDecomposableError, match=re.escape(str(exc))):
+            decompose_character(x, c, kind)
+    else:
+        assert decompose_character(x, c, kind) == old
+
+
+def test_svoa_routes_match_oracle():
+    for c in (F(n, 2) for n in range(1, 201)):
+        sol = extremal_svoa(c)
+        same_solution(sol, old_routes.extremal_svoa(c))
+        new, old = shadow(sol), old_routes.shadow(sol)
+        assert same_series(new.B, old.B)
+        assert (new.c, new.s, new.first_coeff, new.integral, new.nonneg,
+                new.first_negative, new.first_non_integral) == \
+            (old.c, old.s, old.first_coeff, old.integral, old.nonneg,
+             old.first_negative, old.first_non_integral), c
+        same_decomposition(sol.series, c, "SVOA")
+        same_decomposition(sol.series + QSeries.monomial(sol.series.trunc - 1,
+                                                         1, sol.series.trunc),
+                           c, "SVOA")
+
+
+def test_voa_routes_match_oracle():
+    for c in range(8, 241, 8):
+        sol = extremal_voa(c)
+        same_solution(sol, old_routes.extremal_voa(c))
+        same_decomposition(sol.series, c, "VOA")
+        same_decomposition(sol.series.truncate(sol.series.trunc - 2 * GRID),
+                           c, "VOA")
+        same_decomposition(sol.series, c, "SVOA")
+
+
+def test_windows_match_oracle():
+    for c, window in ((8, 2), (8, 30), (48, 7), (96, 20)):
+        same_solution(extremal_voa(c, window), old_routes.extremal_voa(c, window))
+    for c, window in ((F(1, 2), 1), (F(47, 2), 41), (33, 5), (F(101, 2), 30)):
+        same_solution(extremal_svoa(c, window), old_routes.extremal_svoa(c, window))
+
+
+def test_decompose_kind_validation():
+    with pytest.raises(ValueError, match="kind"):
+        decompose_character(extremal_voa(8).series, 8, "XYZ")
 
 
 # -- verdicts ------------------------------------------------------------------------
