@@ -52,6 +52,13 @@ def _order(text) -> int:
     return order
 
 
+def _lattice(text) -> lattices.Lattice:
+    try:
+        return lattices.lattice_catalog(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _constraints(path):
     """The rows of a --constraints file: a JSON list of [i, j, k, value]
     with integer i, j, k and an integer or "p/q" string value."""
@@ -88,7 +95,10 @@ def _build_parser() -> _Parser:
                            parser_class=partial(_Parser, parents=[common]))
 
     s = sub.add_parser("series", help="standard q-expansion from the catalog")
-    s.add_argument("name", help="one of: %s" % ", ".join(qseries.standard_names()))
+    # `choices` is checked after `type`, so chi-half and chi_half both pass
+    s.add_argument("name", type=lambda text: text.replace("-", "_"),
+                   choices=qseries.standard_names(), metavar="name",
+                   help="one of: %s" % ", ".join(qseries.standard_names()))
     s.add_argument("--rank", type=_rank, default=None)
     s.add_argument("--weight", type=_rational, default=None)
 
@@ -121,11 +131,11 @@ def _build_parser() -> _Parser:
     ve.add_argument("--rank", type=_rank, required=True)
 
     th = sub.add_parser("theta", help="lattice theta series")
-    th.add_argument("--lattice", required=True,
+    th.add_argument("--lattice", type=_lattice, required=True,
                     help="one of: %s" % ", ".join(lattices.lattice_names()))
 
     ob = sub.add_parser("orbifold", help="involution-orbifold character of a lattice theory")
-    ob.add_argument("--lattice", required=True)
+    ob.add_argument("--lattice", type=_lattice, required=True)
 
     return p
 
@@ -264,12 +274,11 @@ def run(argv) -> int:
                     print("M%d x M%d = %s" % (i, j, " + ".join(terms) or "0"))
 
     elif cmd == "theta":
-        L = lattices.lattice_catalog(args.lattice)
-        th = lattices.theta_series(L, trunc)
+        th = lattices.theta_series(args.lattice, trunc)
         _emit_series(th, fmt)
 
     elif cmd == "orbifold":
-        L = lattices.lattice_catalog(args.lattice)
+        L = args.lattice
         th = lattices.theta_series(L, trunc)
         x = extremal.orbifold_character(th, L.dim)
         _emit_series(x.truncate(-2 * L.dim + trunc), fmt)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
 
-from .qseries import (GRID, QSeries, _norm_coeff, _prod_half_steps,
-                      _prod_one_plus_qn, cbrt_j, chi_half, cusp1_chi_half,
-                      euler_product, j_function, j_theta, vacuum)
+from .qseries import (GRID, HALF_STEPS_MINUS, HALF_STEPS_PLUS, ONE_PLUS_QN,
+                      QSeries, _norm_coeff, cbrt_j, chi_half, cusp1_chi_half,
+                      eta_quotient, euler_product, j_function, j_theta,
+                      vacuum)
 
 VOA = "VOA"
 SVOA = "SVOA"
@@ -361,10 +362,9 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
         raise ValueError("theta series must start with 1")
     cc = int(c)
     t = theta.trunc
-    eul = euler_product(t + 2 * cc)
-    one_plus = _prod_one_plus_qn(t + 2 * cc)
-    half_minus = _prod_half_steps(t + 2 * cc, -1)
-    half_plus = _prod_half_steps(t + 2 * cc, +1)
+    eul, one_plus, half_minus, half_plus = (
+        eta_quotient(exps, t + 2 * cc) for exps in
+        (((GRID, 1),), ONE_PLUS_QN, HALF_STEPS_MINUS, HALF_STEPS_PLUS))
     untwisted = (theta * (eul ** (-cc)) + one_plus ** (-cc)).scale(Fraction(1, 2))
     sign = (-1) ** (cc // 8)
     twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))

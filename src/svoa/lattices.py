@@ -153,8 +153,8 @@ def lattice_catalog(name: str) -> Lattice:
                        lambda: _from_ambient(_z_lattice(n), [[0] * n]))
     if key.startswith("D") and key.endswith("+") and key[1:-1].isdigit():
         n = int(key[1:-1])
-        if n % 4 != 0:
-            raise ValueError("Dn+ is integral only for n divisible by 4")
+        if n < 4 or n % 4 != 0:
+            raise ValueError("Dn+ needs n >= 4 divisible by 4")
         return Lattice(key, n, (((n, 0, 2),), ((n, _HALF, 2),)),
                        lambda: _from_ambient(_d_basis(n),
                                              [[0] * n, [_HALF] * n]))

@@ -18,6 +18,10 @@ offsets from their leads (for exp, of the indices themselves).  Every
 result coefficient then sits at the result's lead plus a multiple of g, so
 the recurrences run on a dense list, and an integer-step series (g = 48)
 never visits the 47 empty indices between two terms.
+
+Every infinite product in the catalog is an eta quotient, a product of
+dilated Euler products prod_{n>=1} (1 - q^(n*s/48)) to integer powers,
+built by the one product primitive `eta_quotient`.
 """
 
 from __future__ import annotations
@@ -248,13 +252,7 @@ class QSeries:
 
     def agrees_with(self, other, upto=None) -> bool:
         """Equality of coefficients up to the common truncation."""
-        t = min(self.trunc, other.trunc)
-        if upto is not None:
-            t = min(t, upto)
-        for n in set(self.coeffs) | set(other.coeffs):
-            if n < t and self.coeff(n) != other.coeff(n):
-                return False
-        return True
+        return self.first_difference(other, upto) is None
 
     def first_difference(self, other, upto=None):
         """Smallest index where the two series differ, or None."""
@@ -362,40 +360,34 @@ def denominator_profile(a: QSeries):
 # -- the catalog of standard expansions -------------------------------------------
 
 
-def euler_product(trunc) -> QSeries:
-    """prod_{n>=1} (1 - q^n) via the pentagonal number expansion."""
+def euler_product(trunc, step=GRID) -> QSeries:
+    """prod_{n>=1} (1 - q^(n*step/48)) by Euler's pentagonal number theorem:
+    the sum over all integers k of (-1)^k q^(step*k(3k-1)/2 / 48)."""
     out = {}
-    k = 1
-    out[0] = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if GRID * g1 >= trunc and GRID * g2 >= trunc:
-            break
-        s = -1 if k % 2 else 1
-        if GRID * g1 < trunc:
-            out[GRID * g1] = s
-        if GRID * g2 < trunc:
-            out[GRID * g2] = s
-        k += 1
+    k = 0
+    # k = 0, 1, -1, 2, -2, ... gives the pentagonal numbers in increasing order
+    while (n := step * (k * (3 * k - 1) // 2)) < trunc:
+        out[n] = -1 if k % 2 else 1
+        k = -k if k > 0 else 1 - k
     return QSeries(out, trunc)
 
 
-def _prod_one_plus_qn(trunc) -> QSeries:
-    """prod (1 + q^n) = prod (1-q^{2n}) / prod (1-q^n)."""
-    num = QSeries({2 * n: c for n, c in euler_product((trunc + 1) // 2).coeffs.items()},
-                  trunc)
-    return num * euler_product(trunc).inv()
+def eta_quotient(exps, trunc) -> QSeries:
+    """prod over (step, e) in `exps` of euler_product(trunc, step) ** e, with
+    the factors of negative e inverted by one `inv`; exact to `trunc`."""
+    num, den = QSeries.one(trunc), QSeries.one(trunc)
+    for step, e in exps:
+        if e > 0:
+            num = num * euler_product(trunc, step) ** e
+        else:
+            den = den * euler_product(trunc, step) ** -e
+    return num * den.inv()
 
 
-def _prod_half_steps(trunc, sign) -> QSeries:
-    """prod_{n>=1} (1 + sign*q^(n-1/2))."""
-    s = QSeries.one(trunc)
-    idx = 24
-    while idx < trunc:
-        s = s * QSeries({0: 1, idx: sign}, trunc)
-        idx += GRID
-    return s
+# (step, exponent) pairs of the products that recur in the catalog
+HALF_STEPS_PLUS = ((GRID, 2), (24, -1), (96, -1))  # prod (1 + q^(n-1/2))
+HALF_STEPS_MINUS = ((24, 1), (GRID, -1))  # prod (1 - q^(n-1/2))
+ONE_PLUS_QN = ((96, 1), (GRID, -1))  # prod (1 + q^n)
 
 
 def eta(trunc=DEFAULT_TRUNC) -> QSeries:
@@ -466,11 +458,11 @@ def j_theta(trunc=DEFAULT_TRUNC) -> QSeries:
 
 
 def chi_half(trunc=DEFAULT_TRUNC) -> QSeries:
-    return _prod_half_steps(trunc + 1, +1).shift(-1)
+    return eta_quotient(HALF_STEPS_PLUS, trunc + 1).shift(-1)
 
 
 def chi_half_minus(trunc=DEFAULT_TRUNC) -> QSeries:
-    return _prod_half_steps(trunc + 1, -1).shift(-1)
+    return eta_quotient(HALF_STEPS_MINUS, trunc + 1).shift(-1)
 
 
 def _fermion_sector(trunc, parity) -> QSeries:
@@ -489,19 +481,14 @@ def chi_ising_half(trunc=DEFAULT_TRUNC) -> QSeries:
     return _fermion_sector(trunc, 1)
 
 
-def chi_ising_16(trunc=DEFAULT_TRUNC) -> QSeries:
-    # (1/sqrt(2)) sqrt(Theta_{Z+1/2}/eta): the factor 2 of the theta series
-    # cancels the normalization, leaving q^(1/24) sqrt(unit part).
-    t = trunc + 8
-    s = theta_Z_half(t) * eta(t).inv()
-    e = s.lead
-    u = QSeries({n - e: _coeff_div(c, s.coeffs[e]) for n, c in s.coeffs.items()},
-                s.trunc - e)
-    return u.pow_rational(Fraction(1, 2)).shift(e // 2)
-
-
 def cusp1_chi_half(trunc=DEFAULT_TRUNC) -> QSeries:
-    return _prod_one_plus_qn(trunc - 2).shift(2)
+    return eta_quotient(ONE_PLUS_QN, trunc - 2).shift(2)
+
+
+def chi_ising_16(trunc=DEFAULT_TRUNC) -> QSeries:
+    # (1/sqrt(2)) sqrt(Theta_{Z+1/2}/eta) = q^(1/24) prod (1 + q^n), valid to
+    # trunc + 4
+    return cusp1_chi_half(trunc + 4)
 
 
 def vacuum(c, trunc=DEFAULT_TRUNC) -> QSeries:

@@ -1,7 +1,8 @@
 """Replaced routes, kept as independent oracles for the code that replaced
 them: the one-operation-at-a-time Q(zeta_48) routes behind svoa.cyclo's
-fused sum-of-products kernel, and the per-kind extremal routes behind
-svoa.extremal's kind table.
+fused sum-of-products kernel, the per-kind extremal routes behind
+svoa.extremal's kind table, and the one-off product routes behind
+svoa.qseries.eta_quotient.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -20,8 +21,8 @@ from svoa.cyclo import Cyclo
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport)
 from svoa.invariants import MultiPoly
-from svoa.qseries import (GRID, QSeries, cbrt_j, chi_half, cusp1_chi_half,
-                          vacuum)
+from svoa.qseries import (GRID, QSeries, _coeff_div, cbrt_j, chi_half,
+                          cusp1_chi_half, theta_Z_half, vacuum)
 
 DEGREE = 16
 
@@ -414,3 +415,84 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
     return ShadowReport(c=c, s=int(2 * c) - 24 * k, B=B, first_coeff=first,
                         integral=non_int is None, nonneg=neg is None,
                         first_negative=neg, first_non_integral=non_int)
+
+
+# -- the product routes that eta_quotient replaced --------------------------------
+#
+# The two-branch pentagonal series, the binomial-at-a-time half-step product,
+# the one-off pentagonal quotient for prod (1 + q^n), the theta/eta square
+# root for the 1/16 Ising sector and the orbifold character over them, as
+# they were before every catalog product became an eta quotient.  `eta` is
+# repeated so that the square root runs on this module's Euler product.
+
+
+def euler_product(trunc) -> QSeries:
+    """prod_{n>=1} (1 - q^n) via the pentagonal number expansion."""
+    out = {}
+    k = 1
+    out[0] = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if GRID * g1 >= trunc and GRID * g2 >= trunc:
+            break
+        s = -1 if k % 2 else 1
+        if GRID * g1 < trunc:
+            out[GRID * g1] = s
+        if GRID * g2 < trunc:
+            out[GRID * g2] = s
+        k += 1
+    return QSeries(out, trunc)
+
+
+def _prod_one_plus_qn(trunc) -> QSeries:
+    """prod (1 + q^n) = prod (1-q^{2n}) / prod (1-q^n)."""
+    num = QSeries({2 * n: c for n, c in euler_product((trunc + 1) // 2).coeffs.items()},
+                  trunc)
+    return num * euler_product(trunc).inv()
+
+
+def _prod_half_steps(trunc, sign) -> QSeries:
+    """prod_{n>=1} (1 + sign*q^(n-1/2))."""
+    s = QSeries.one(trunc)
+    idx = 24
+    while idx < trunc:
+        s = s * QSeries({0: 1, idx: sign}, trunc)
+        idx += GRID
+    return s
+
+
+def eta(trunc) -> QSeries:
+    return euler_product(trunc - 2).shift(2)
+
+
+def chi_ising_16(trunc) -> QSeries:
+    # (1/sqrt(2)) sqrt(Theta_{Z+1/2}/eta): the factor 2 of the theta series
+    # cancels the normalization, leaving q^(1/24) sqrt(unit part).
+    t = trunc + 8
+    s = theta_Z_half(t) * eta(t).inv()
+    e = s.lead
+    u = QSeries({n - e: _coeff_div(c, s.coeffs[e]) for n, c in s.coeffs.items()},
+                s.trunc - e)
+    return u.pow_rational(Fraction(1, 2)).shift(e // 2)
+
+
+def orbifold_character(theta: QSeries, c) -> QSeries:
+    """Character of the involution orbifold of a lattice theory with theta
+    series `theta` and rank c in 8Z."""
+    c = Fraction(c)
+    if c % 8 != 0:
+        raise ValueError("orbifold rank must be a multiple of 8")
+    if theta.coeff(0) != 1 or theta.lead != 0:
+        raise ValueError("theta series must start with 1")
+    cc = int(c)
+    t = theta.trunc
+    eul = euler_product(t + 2 * cc)
+    one_plus = _prod_one_plus_qn(t + 2 * cc)
+    half_minus = _prod_half_steps(t + 2 * cc, -1)
+    half_plus = _prod_half_steps(t + 2 * cc, +1)
+    untwisted = (theta * (eul ** (-cc)) + one_plus ** (-cc)).scale(Fraction(1, 2))
+    sign = (-1) ** (cc // 8)
+    twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))
+    twisted = twisted.scale(Fraction(2 ** (cc // 2), 2))
+    return untwisted.shift(-2 * cc) + twisted.shift(cc)

@@ -31,6 +31,13 @@ def test_series_json_round_trip(capsys):
     assert x.coeff(2) == 1 and x.coeff(50) == -1
 
 
+def test_series_names_take_hyphens(capsys):
+    _, hyphen, _ = run(capsys, "--order", "3", "series", "chi-ising-16")
+    code, underscore, _ = run(capsys, "--order", "3", "series", "chi_ising_16")
+    assert code == 0 and hyphen == underscore
+    assert underscore.strip() == "q^(1/24) + q^(25/24) + q^(49/24)"
+
+
 def test_series_vacuum_requires_rank(capsys):
     code, _, err = run(capsys, "series", "vacuum")
     assert code == 1 and "rank" in err
@@ -241,7 +248,14 @@ def test_global_flags_after_subcommand(capsys):
     (None, ["monster-poly", "--constraints", '[[48, 0, 0, 0.5]]']),
     (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1/0"]]']),
     (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1"], 7]']),
-    (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1"'])
+    (None, ["monster-poly", "--constraints", '[[48, 0, 0, "1"']),
+    (None, ["theta", "--lattice", "D0+"]),
+    (None, ["theta", "--lattice", "D6+"]),
+    (None, ["theta", "--lattice", "Q8"]),
+    (None, ["orbifold", "--lattice", "Q8"]),
+    (None, ["orbifold", "--lattice", "Z0"]),
+    (None, ["series", "no_such_series"]),
+    (None, ["series", "chi-half-plus"]),
 ])
 def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
                                           env_order, argv):
@@ -255,4 +269,4 @@ def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()
-    assert exc.value.code == 64 and out.out == "" and "error:" in out.err
+    assert exc.value.code == 64 and out.out == "" and out.err.count("error:") == 1

@@ -12,6 +12,7 @@ from svoa.extremal import (E_RANKS, ExtremalError, NotDecomposableError,
                            decompose_character, extremal_svoa, extremal_voa,
                            fusion_type, hw_enumerator, orbifold_character,
                            shadow)
+from svoa.lattices import lattice_catalog, theta_series
 from svoa.qseries import GRID, QSeries, E4, delta, j_function, vacuum
 
 
@@ -339,6 +340,16 @@ def test_orbifold_leading_coefficient():
     assert x.coeff(x.lead) == 1
     with pytest.raises(ValueError):
         orbifold_character(theta, 12)
+
+
+@pytest.mark.parametrize("name", ["Leech", "D16+", "E8", "D8+"])
+def test_orbifold_matches_oracle(name):
+    L = lattice_catalog(name)
+    for order in range(2, 11):
+        theta = theta_series(L, order * GRID)
+        new = orbifold_character(theta, L.dim)
+        old = old_routes.orbifold_character(theta, L.dim)
+        assert (new.coeffs, new.trunc) == (old.coeffs, old.trunc), (name, order)
 
 
 def test_fusion_type():

@@ -169,6 +169,8 @@ def test_catalog_errors():
         lattice_catalog("X9")
     with pytest.raises(ValueError):
         lattice_catalog("D10+")  # not divisible by 4
+    with pytest.raises(ValueError):
+        lattice_catalog("D0+")  # divisible by 4, but empty
 
 
 def test_theta_E8_is_E4():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import old_routes
 from svoa import qseries as qs
 from svoa.cyclo import zeta_pow
 from svoa.qseries import GRID, GridError, QSeries
@@ -398,3 +399,43 @@ def test_stride_is_the_gcd_of_the_whole_support():
     assert _same(QSeries({5: 2}, 300).inv(), _grid_inv(QSeries({5: 2}, 300)))
     c = QSeries({-5: 1, 40: 2}, 400)
     assert _same(QSeries({5: 2}, 300) * c, _grid_mul(QSeries({5: 2}, 300), c))
+
+
+# -- eta quotients against the replaced product routes -------------------------
+
+ORACLE_TRUNCS = list(range(1, 300)) + [4800, 9600]
+
+
+def _outcome(f, *args):
+    """Coefficients and trunc of f(*args), or the error it raises."""
+    try:
+        x = f(*args)
+    except ZeroDivisionError as exc:
+        return "raises", str(exc)
+    return x.coeffs, x.trunc
+
+
+def test_dilated_euler_product_matches_pentagonal_oracle():
+    for t in ORACLE_TRUNCS:
+        assert _outcome(qs.euler_product, t) == _outcome(old_routes.euler_product, t)
+        for step in (1, 24, 96, 144):
+            old = old_routes.euler_product(-(-GRID * t // step))
+            dilated = QSeries({n // GRID * step: c for n, c in old.coeffs.items()}, t)
+            assert _outcome(qs.euler_product, t, step) == (dilated.coeffs, t), (t, step)
+
+
+def test_eta_quotients_match_replaced_routes():
+    routes = [
+        (qs.chi_half, lambda t: old_routes._prod_half_steps(t + 1, +1).shift(-1)),
+        (qs.chi_half_minus, lambda t: old_routes._prod_half_steps(t + 1, -1).shift(-1)),
+        (qs.cusp1_chi_half, lambda t: old_routes._prod_one_plus_qn(t - 2).shift(2)),
+        (qs.chi_ising_16, old_routes.chi_ising_16),
+    ]
+    for new, old in routes:
+        for t in ORACLE_TRUNCS:
+            assert _outcome(new, t) == _outcome(old, t), (new.__name__, t)
+
+
+def test_eta_quotient_of_one_factor_is_its_euler_product():
+    assert qs.eta_quotient(((GRID, 1),), 100) == qs.euler_product(100)
+    assert qs.eta_quotient(((24, -1),), 100) == qs.euler_product(100, 24).inv()
