@@ -193,6 +193,8 @@ def run(argv) -> int:
         parser.error("classify needs 0 <= --from <= --to <= --max")
     if cmd == "molien" and (args.deg < 0 or args.cap < 1):
         parser.error("molien needs --deg >= 0 and --cap >= 1")
+    if cmd == "orbifold" and args.lattice.dim % 8:
+        parser.error("orbifold needs a lattice whose dimension is a multiple of 8")
 
     if cmd == "series":
         x = qseries.standard_series(args.name, trunc, c=args.rank,

@@ -6,18 +6,15 @@ a product of blocks (n, a, m): the vectors of (Z + a)^n whose coordinate
 sum is 0 mod m, where m = 1 means no condition and m = 0 a zero sum
 (Conway & Sloane, SPLAG ch. 4 and 7).  A block is counted coordinate by
 coordinate over (norm, sum) states in exact integers, polynomially in the
-order.  The basis Gram matrix and glue are built only when asked for.
+order.  The coset list is the only description of a lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Callable
 
-from .linalg import gauss_jordan
 from .qseries import GRID, QSeries, E4, delta, eta
 
 
@@ -30,105 +27,6 @@ class Lattice:
     name: str
     dim: int
     cosets: tuple        # union of products of (n, a, m) blocks
-    build: Callable = field(repr=False, compare=False)   # -> (gram, glue)
-
-    @cached_property
-    def _gram_glue(self):
-        return self.build()
-
-    @property
-    def gram(self) -> tuple:
-        """dim x dim symmetric basis Gram matrix, Fractions."""
-        return self._gram_glue[0]
-
-    @property
-    def glue(self) -> tuple:
-        """Coset representatives in basis coordinates (incl. 0)."""
-        return self._gram_glue[1]
-
-    def determinant(self) -> Fraction:
-        return gauss_jordan(self.gram)[0]
-
-    def is_positive_definite(self) -> bool:
-        return all(gauss_jordan([row[:k] for row in self.gram[:k]])[0] > 0
-                   for k in range(1, self.dim + 1))
-
-    def glue_norms(self):
-        return [_form_value(self.gram, g) for g in self.glue]
-
-    def to_json(self):
-        return {"name": self.name, "dim": self.dim,
-                "gram": [[str(x) for x in row] for row in self.gram],
-                "glue": [[str(x) for x in g] for g in self.glue]}
-
-
-def _form_value(gram, v):
-    n = len(v)
-    acc = Fraction(0)
-    for i in range(n):
-        if v[i]:
-            for j in range(n):
-                if v[j]:
-                    acc += v[i] * gram[i][j] * v[j]
-    return acc
-
-
-# -- Gram matrix and glue from ambient coordinates ---------------------------------
-
-
-def _from_ambient(basis, glue_ambient):
-    """Gram matrix and basis-coordinate glue of ambient row vectors."""
-    dim = len(basis)
-    gram = [[sum(Fraction(x) * Fraction(y) for x, y in zip(bi, bj))
-             for bj in basis] for bi in basis]
-    rhs = [[sum(Fraction(x) * Fraction(y) for x, y in zip(g, bi))
-            for bi in basis] for g in glue_ambient]
-    reduced = gauss_jordan(gram, rhs)[2]
-    glue = []
-    for col, g in enumerate(glue_ambient, start=dim):
-        mu = [row[col] for row in reduced]
-        # confirm g lies in the rational span of the basis
-        recon = [sum(mu[i] * Fraction(basis[i][t]) for i in range(dim))
-                 for t in range(len(basis[0]))]
-        if recon != [Fraction(x) for x in g]:
-            raise ValueError("glue vector %s outside the basis span" % (g,))
-        glue.append(tuple(mu))
-    return tuple(tuple(row) for row in gram), tuple(glue)
-
-
-def _z_lattice(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _d_basis(n):
-    basis = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        basis[i][i] = 1
-        basis[i][i + 1] = -1
-    basis[n - 1][n - 2] = 1
-    basis[n - 1][n - 1] = 1
-    return basis
-
-
-def _a_basis(n):
-    # A_n inside the sum-zero hyperplane of Z^(n+1)
-    basis = [[0] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        basis[i][i] = 1
-        basis[i][i + 1] = -1
-    return basis
-
-
-def _a_glue(n, j):
-    # class [j] of the A_n dual quotient: n+1-j entries j/(n+1), j entries j/(n+1)-1
-    f = Fraction(j, n + 1)
-    return [f] * (n + 1 - j) + [f - 1] * j
-
-
-def _e7_basis():
-    basis = _a_basis(7)[:6]
-    basis.append([Fraction(1, 2)] * 4 + [Fraction(-1, 2)] * 4)
-    return basis
 
 
 # -- catalog -----------------------------------------------------------------------
@@ -144,45 +42,33 @@ def lattice_catalog(name: str) -> Lattice:
     key = name.strip()
     if key == "Leech":
         # theta is formula-backed; no coordinate data needed
-        return Lattice("Leech", 24, (), lambda: ((), ((),)))
+        return Lattice("Leech", 24, ())
     if key.startswith("Z") and key[1:].isdigit():
         n = int(key[1:])
         if n < 1:
             raise ValueError("Zn needs n >= 1")
-        return Lattice(key, n, (((n, 0, 1),),),
-                       lambda: _from_ambient(_z_lattice(n), [[0] * n]))
+        return Lattice(key, n, (((n, 0, 1),),))
     if key.startswith("D") and key.endswith("+") and key[1:-1].isdigit():
         n = int(key[1:-1])
         if n < 4 or n % 4 != 0:
             raise ValueError("Dn+ needs n >= 4 divisible by 4")
-        return Lattice(key, n, (((n, 0, 2),), ((n, _HALF, 2),)),
-                       lambda: _from_ambient(_d_basis(n),
-                                             [[0] * n, [_HALF] * n]))
+        return Lattice(key, n, (((n, 0, 2),), ((n, _HALF, 2),)))
     if key.startswith("D") and key[1:].isdigit():
         n = int(key[1:])
         if n < 2:
             raise ValueError("Dn needs n >= 2")
-        return Lattice(key, n, (((n, 0, 2),),),
-                       lambda: _from_ambient(_d_basis(n), [[0] * n]))
+        return Lattice(key, n, (((n, 0, 2),),))
     if key == "E8":
         return lattice_catalog("D8+")
     if key == "E7":
-        return Lattice("E7", 7, _E7,
-                       lambda: _from_ambient(_e7_basis(), [[0] * 8]))
+        return Lattice("E7", 7, _E7)
     if key == "E7E7+":
-        def build():
-            b7 = _e7_basis()
-            basis = ([list(b) + [0] * 8 for b in b7]
-                     + [[0] * 8 + list(b) for b in b7])
-            return _from_ambient(basis, [[0] * 16, _a_glue(7, 2) * 2])
         cosets = tuple(x + y for x in _E7 for y in _E7)
         cosets += tuple(x + y for x in _E7_GLUE for y in _E7_GLUE)
-        return Lattice("E7E7+", 14, cosets, build)
+        return Lattice("E7E7+", 14, cosets)
     if key == "A15+":
         return Lattice("A15+", 15,
-                       tuple(((16, Fraction(j, 16), 0),) for j in (0, 4, 8, 12)),
-                       lambda: _from_ambient(_a_basis(15), [[0] * 16] + [
-                           _a_glue(15, j) for j in (4, 8, 12)]))
+                       tuple(((16, Fraction(j, 16), 0),) for j in (0, 4, 8, 12)))
     raise ValueError("unknown lattice %r" % name)
 
 

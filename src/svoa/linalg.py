@@ -1,7 +1,6 @@
 """Exact Gauss-Jordan elimination, shared by every exact solve in the
-package: the inverses of the modular S and T matrices over Q(zeta_48), the
-degree-48 enumerator constraints and basis rank over Q, and the lattice
-Gram determinants and glue coordinates.
+package: the inverses of the modular S and T matrices over Q(zeta_48), and
+the degree-48 enumerator constraints and basis rank over Q.
 
 Entries need only +, -, *, == 0 and Fraction(1) / x, so int, Fraction and
 Cyclo entries all work; ints are divided exactly, as Fractions.

@@ -29,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .cyclo import power
+
 GRID = 48
 DEFAULT_TRUNC = 10 * GRID  # q^10
 
@@ -202,15 +204,7 @@ class QSeries:
             return QSeries.one(rel)
         if n < 0:
             return self.inv() ** (-n)
-        r = None
-        b = self
-        while n:
-            if n & 1:
-                r = b if r is None else r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
+        return power(self, n)
 
     def derivative(self, step_index=GRID):
         """Formal derivative d/dp with p = q^(step_index/48).

@@ -254,6 +254,8 @@ def test_global_flags_after_subcommand(capsys):
     (None, ["theta", "--lattice", "Q8"]),
     (None, ["orbifold", "--lattice", "Q8"]),
     (None, ["orbifold", "--lattice", "Z0"]),
+    (None, ["orbifold", "--lattice", "Z7"]),
+    (None, ["orbifold", "--lattice", "E7"]),
     (None, ["series", "no_such_series"]),
     (None, ["series", "chi-half-plus"]),
 ])

@@ -10,7 +10,113 @@ from svoa.cli import main
 from svoa.extremal import extremal_svoa, orbifold_character
 from svoa.lattices import (EnumerationBudgetError, _block_work, lattice_catalog,
                            svoa_character, theta_series)
+from svoa.linalg import gauss_jordan
 from svoa.qseries import GRID, E4, QSeries, j_function
+
+
+# -- Gram matrix and glue from ambient coordinates: the oracle's own description
+# of each catalog lattice, never derived from its coset list ---------------------
+
+
+def _form_value(gram, v):
+    n = len(v)
+    acc = F(0)
+    for i in range(n):
+        if v[i]:
+            for j in range(n):
+                if v[j]:
+                    acc += v[i] * gram[i][j] * v[j]
+    return acc
+
+
+def _from_ambient(basis, glue_ambient):
+    """Gram matrix and basis-coordinate glue of ambient row vectors."""
+    dim = len(basis)
+    gram = [[sum(F(x) * F(y) for x, y in zip(bi, bj))
+             for bj in basis] for bi in basis]
+    rhs = [[sum(F(x) * F(y) for x, y in zip(g, bi))
+            for bi in basis] for g in glue_ambient]
+    reduced = gauss_jordan(gram, rhs)[2]
+    glue = []
+    for col, g in enumerate(glue_ambient, start=dim):
+        mu = [row[col] for row in reduced]
+        # confirm g lies in the rational span of the basis
+        recon = [sum(mu[i] * F(basis[i][t]) for i in range(dim))
+                 for t in range(len(basis[0]))]
+        if recon != [F(x) for x in g]:
+            raise ValueError("glue vector %s outside the basis span" % (g,))
+        glue.append(tuple(mu))
+    return tuple(tuple(row) for row in gram), tuple(glue)
+
+
+def _z_lattice(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _d_basis(n):
+    basis = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        basis[i][i] = 1
+        basis[i][i + 1] = -1
+    basis[n - 1][n - 2] = 1
+    basis[n - 1][n - 1] = 1
+    return basis
+
+
+def _a_basis(n):
+    # A_n inside the sum-zero hyperplane of Z^(n+1)
+    basis = [[0] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        basis[i][i] = 1
+        basis[i][i + 1] = -1
+    return basis
+
+
+def _a_glue(n, j):
+    # class [j] of the A_n dual quotient: n+1-j entries j/(n+1), j entries j/(n+1)-1
+    f = F(j, n + 1)
+    return [f] * (n + 1 - j) + [f - 1] * j
+
+
+def _e7_basis():
+    basis = _a_basis(7)[:6]
+    basis.append([F(1, 2)] * 4 + [F(-1, 2)] * 4)
+    return basis
+
+
+def _e7e7_plus():
+    b7 = _e7_basis()
+    basis = ([list(b) + [0] * 8 for b in b7]
+             + [[0] * 8 + list(b) for b in b7])
+    return _from_ambient(basis, [[0] * 16, _a_glue(7, 2) * 2])
+
+
+# catalog name -> (gram, glue): the basis Gram matrix (Fractions) and the coset
+# representatives in basis coordinates, including 0
+GRAM_GLUE = {
+    **{"Z%d" % n: _from_ambient(_z_lattice(n), [[0] * n]) for n in range(1, 6)},
+    **{"D%d" % n: _from_ambient(_d_basis(n), [[0] * n]) for n in range(2, 7)},
+    **{"D%d+" % n: _from_ambient(_d_basis(n), [[0] * n, [F(1, 2)] * n])
+       for n in (4, 8, 12, 16)},
+    "E7": _from_ambient(_e7_basis(), [[0] * 8]),
+    "E7E7+": _e7e7_plus(),
+    "A15+": _from_ambient(_a_basis(15), [[0] * 16] + [
+        _a_glue(15, j) for j in (4, 8, 12)]),
+}
+GRAM_GLUE["E8"] = GRAM_GLUE["D8+"]
+
+
+def _determinant(gram):
+    return gauss_jordan(gram)[0]
+
+
+def _is_positive_definite(gram):
+    return all(gauss_jordan([row[:k] for row in gram[:k]])[0] > 0
+               for k in range(1, len(gram) + 1))
+
+
+def _glue_norms(gram, glue):
+    return [_form_value(gram, g) for g in glue]
 
 
 # -- Fincke-Pohst oracle: bounded enumeration from the Gram matrix and glue ----------
@@ -95,11 +201,12 @@ def _enumerate_coset(q, mu, norm_max):
     return counts, m_total
 
 
-def _oracle_theta(L, trunc):
+def _oracle_theta(name, trunc):
+    gram, glue = GRAM_GLUE[name]
     norm_max = F(2 * (trunc - 1), GRID)
-    q = _fincke_pohst_form([list(r) for r in L.gram])
+    q = _fincke_pohst_form([list(r) for r in gram])
     acc = {}
-    for g in L.glue:
+    for g in glue:
         counts, m_total = _enumerate_coset(q, list(g), norm_max)
         for norm_m, cnt in counts.items():
             assert (norm_m * 24) % m_total == 0
@@ -117,16 +224,18 @@ ORACLE_CASES = ([(name, 3 * GRID) for name in
 @pytest.mark.parametrize("name,trunc", ORACLE_CASES)
 def test_theta_matches_fincke_pohst_oracle(name, trunc):
     L = lattice_catalog(name)
+    assert L.dim == len(GRAM_GLUE[name][0])
     th = theta_series(L, trunc)
-    expect = _oracle_theta(L, trunc)
+    expect = _oracle_theta(name, trunc)
     assert th.trunc == expect.trunc
     assert th.coeffs == expect.coeffs
 
 
 def test_catalog_Z1():
     z1 = lattice_catalog("Z1")
-    assert z1.dim == 1 and z1.gram == ((1,),)
-    assert z1.glue == ((0,),)
+    gram, glue = GRAM_GLUE["Z1"]
+    assert z1.dim == 1 and gram == ((1,),)
+    assert glue == ((0,),)
     th = theta_series(z1, 480)
     assert [th.coeff(i) for i in (0, 24, 96, 216, 384)] == [1, 2, 2, 2, 2]
     assert th.coeff(48) == 0
@@ -134,34 +243,52 @@ def test_catalog_Z1():
 
 def test_catalog_D12_plus():
     L = lattice_catalog("D12+")
+    gram, glue = GRAM_GLUE["D12+"]
     assert L.dim == 12
-    assert L.is_positive_definite()
-    norms = L.glue_norms()
+    assert _is_positive_definite(gram)
+    norms = _glue_norms(gram, glue)
     assert 0 in norms and F(3) in norms
     # integrality: the glue pairs integrally with the whole base lattice
-    g = L.glue[1]
-    pairings = [sum(g[i] * L.gram[i][j] for i in range(12)) for j in range(12)]
+    g = glue[1]
+    pairings = [sum(g[i] * gram[i][j] for i in range(12)) for j in range(12)]
     assert all(F(x).denominator == 1 for x in pairings)
     # self-duality: det / index^2 = 1
-    assert L.determinant() / len(L.glue) ** 2 == 1
+    assert _determinant(gram) / len(glue) ** 2 == 1
 
 
 def test_catalog_A15_plus():
     L = lattice_catalog("A15+")
-    assert L.dim == 15 and len(L.glue) == 4
-    assert L.determinant() == 16
-    assert L.determinant() / len(L.glue) ** 2 == 1
+    gram, glue = GRAM_GLUE["A15+"]
+    assert L.dim == 15 and len(glue) == 4
+    assert _determinant(gram) == 16
+    assert _determinant(gram) / len(glue) ** 2 == 1
     # glue class norms k(n+1-k)/(n+1): 4*12/16 = 3, 8*8/16 = 4, 12*4/16 = 3
-    assert sorted(L.glue_norms()) == [0, 3, 3, 4]
+    assert sorted(_glue_norms(gram, glue)) == [0, 3, 3, 4]
 
 
 def test_catalog_E7_and_sum():
-    e7 = lattice_catalog("E7")
-    assert e7.determinant() == 2
+    assert _determinant(GRAM_GLUE["E7"][0]) == 2
     L = lattice_catalog("E7E7+")
+    gram, glue = GRAM_GLUE["E7E7+"]
     assert L.dim == 14
-    assert L.determinant() == 4 and len(L.glue) == 2
-    assert sorted(L.glue_norms()) == [0, 3]
+    assert _determinant(gram) == 4 and len(glue) == 2
+    assert sorted(_glue_norms(gram, glue)) == [0, 3]
+
+
+@pytest.mark.parametrize("name", ["Z3", "D4+", "D8+", "E8", "D12+", "D16+",
+                                  "E7E7+", "A15+"])
+def test_self_dual_entries(name):
+    gram, glue = GRAM_GLUE[name]
+    n = len(gram)
+    assert n == lattice_catalog(name).dim
+    assert _is_positive_definite(gram)
+    assert _determinant(gram) / len(glue) ** 2 == 1
+    # every glue vector pairs integrally with the base lattice and the glue
+    for g in glue:
+        pairings = [sum(g[i] * gram[i][j] for i in range(n)) for j in range(n)]
+        assert all(F(x).denominator == 1 for x in pairings)
+        for h in glue:
+            assert F(sum(x * h[j] for j, x in enumerate(pairings))).denominator == 1
 
 
 def test_catalog_errors():
@@ -266,10 +393,3 @@ def test_svoa_character_values():
     x = svoa_character(L, -30 + 2 * GRID + 1)
     base = -30
     assert [x.coeff(base + o) for o in (0, 48, 72, 96)] == [1, 255, 3640, 27525]
-
-
-def test_lattice_json():
-    L = lattice_catalog("D12+")
-    obj = L.to_json()
-    assert obj["name"] == "D12+" and obj["dim"] == 12
-    assert len(obj["gram"]) == 12 and len(obj["glue"]) == 2
