@@ -125,7 +125,6 @@ def _build_parser() -> _Parser:
     mo = sub.add_parser("molien", help="Molien series of the rank-c matrix group")
     mo.add_argument("--rank", type=_rank, required=True)
     mo.add_argument("--deg", type=int, default=48)
-    mo.add_argument("--cap", type=int, default=10000)
 
     ve = sub.add_parser("verlinde", help="fusion ring from the rank-c S-matrix")
     ve.add_argument("--rank", type=_rank, required=True)
@@ -189,10 +188,18 @@ def run(argv) -> int:
     fmt = args.format
     cmd = args.command
     trunc = args.order * GRID
+    if cmd == "series" and args.name == "vacuum" and args.rank is None:
+        parser.error("series vacuum needs --rank")
+    if cmd == "series" and args.name == "generic_module":
+        if args.rank is None or args.weight is None:
+            parser.error("series generic_module needs --rank and --weight")
+        if (args.weight * GRID - 2 * args.rank).denominator != 1:
+            parser.error("series generic_module needs -rank/24 + weight on the "
+                         "1/48 grid")
     if cmd == "classify" and not 0 <= args.cfrom <= args.cto <= args.cmax:
         parser.error("classify needs 0 <= --from <= --to <= --max")
-    if cmd == "molien" and (args.deg < 0 or args.cap < 1):
-        parser.error("molien needs --deg >= 0 and --cap >= 1")
+    if cmd == "molien" and args.deg < 0:
+        parser.error("molien needs --deg >= 0")
     if cmd == "orbifold" and args.lattice.dim % 8:
         parser.error("orbifold needs a lattice whose dimension is a multiple of 8")
 
@@ -253,7 +260,7 @@ def run(argv) -> int:
 
     elif cmd == "molien":
         T, S = modrep.character_rep(args.rank)
-        G = modrep.generate_group([S, T], cap=args.cap)
+        G = modrep.generate_group([S, T])
         rho = modrep.molien(G, args.deg)
         if fmt == "json":
             print(json.dumps({"order": G.order, "series": rho.to_json()}))

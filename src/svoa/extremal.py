@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor
+from math import floor
 
 from .qseries import (GRID, HALF_STEPS_MINUS, HALF_STEPS_PLUS, ONE_PLUS_QN,
                       QSeries, _norm_coeff, cbrt_j, chi_half, cusp1_chi_half,
@@ -155,10 +155,11 @@ def extremal_svoa(c, window=None) -> ExtremalSolution:
 
 
 def buermann_alpha(c, r: int, kind: str) -> Fraction:
-    """Coefficient alpha_r of the expansion of (vacuum character) *
-    (generator power) in powers of the hauptmodul inverse, computed by the
-    Lagrange inversion formula.  Agrees with the a_r of the linear solve
-    for 0 < r <= k."""
+    """Coefficient alpha_r of the expansion of g = (vacuum character) *
+    (generator power) in powers of 1/H, H the hauptmodul, read off directly
+    as the Lagrange-Buermann coefficient alpha_r = [p^(r-1)] (g' * phi^r) / r
+    with p = q^(step/48) and phi = p*H.  Agrees with the a_r of the linear
+    solve for 0 < r <= k."""
     c = Fraction(c)
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -169,13 +170,9 @@ def buermann_alpha(c, r: int, kind: str) -> Fraction:
     g = vac * (kd.gen(rel + GRID) ** -int(c / kd.unit))
     haupt = kd.haupt(rel + 2 * GRID).shift(step)  # monic in q^(step/48)
     h = g.derivative(step) * (haupt ** r)
-    for _ in range(r - 1):
-        if h.trunc <= 0:
-            raise ExtremalError("truncation too small for %d derivatives" % (r - 1))
-        h = h.derivative(step)
-    if h.trunc <= 0:
+    if step * (r - 1) >= h.trunc:
         raise ExtremalError("truncation too small for r=%d" % r)
-    return Fraction(h.coeff(0)) / factorial(r)
+    return Fraction(h.coeff(step * (r - 1))) / r
 
 
 def decompose_character(x: QSeries, c, kind: str):

@@ -181,7 +181,6 @@ def _check_relations(S, T):
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    generators: tuple
     elements: frozenset
 
     @property
@@ -209,7 +208,7 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
                     if len(elements) > cap:
                         raise RuntimeError("group closure exceeded cap %d" % cap)
         frontier = new
-    return MatrixGroup(generators=gens, elements=frozenset(elements))
+    return MatrixGroup(elements=frozenset(elements))
 
 
 # -- Molien series -----------------------------------------------------------------
@@ -273,10 +272,6 @@ class FusionTensor:
                 for k in range(self.n):
                     if self.N[i][j][k] != self.N[j][i][k]:
                         raise ValueError("fusion symmetry violated")
-
-    def product(self, i, j):
-        """Decomposition of M_i x M_j as a coefficient tuple over all M_k."""
-        return self.N[i][j]
 
 
 def verlinde(S: CycMatrix) -> FusionTensor:

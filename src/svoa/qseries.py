@@ -12,11 +12,11 @@ Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
 bound (``min`` for +/-, the lead-shifted ``min`` for products).
 
-The series stay sparse on the 1/48 grid, but the product, inverse and
-exponential kernels run in units of a stride g: the gcd of the operands'
-offsets from their leads (for exp, of the indices themselves).  Every
-result coefficient then sits at the result's lead plus a multiple of g, so
-the recurrences run on a dense list, and an integer-step series (g = 48)
+The series stay sparse on the 1/48 grid, but the product and inverse
+kernels and the fractional-power recurrence run in units of a stride g:
+the gcd of the operands' offsets from their leads.  Every result
+coefficient then sits at the result's lead plus a multiple of g, so the
+recurrences run on a dense list, and an integer-step series (g = 48)
 never visits the 47 empty indices between two terms.
 
 Every infinite product in the catalog is an eta quotient, a product of
@@ -47,6 +47,10 @@ def _norm_coeff(c):
 
 def _coeff_div(a, b):
     """Exact division of coefficients (never integer floor division)."""
+    if type(a) is int and type(b) is int:
+        q, m = divmod(a, b)
+        if not m:
+            return q
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
@@ -220,7 +224,10 @@ class QSeries:
     # -- fractional powers -----------------------------------------------------
 
     def pow_rational(self, r) -> "QSeries":
-        """a^r for rational r via formal exp(r log u) on the unit part.
+        """a^r for rational r = p/q by J.C.P. Miller's power recurrence
+        (Knuth, TAOCP vol. 2, 4.7) on the unit part u, u_0 = 1:
+        q*n*y_n = sum_{k=1..n} ((p+q)*k - q*n) * u_k * y_(n-k), y = u^r,
+        in units of the stride of u.
 
         Requires leading coefficient exactly 1; the shifted leading
         exponent r*lead must land back on the 1/48 grid.
@@ -238,9 +245,22 @@ class QSeries:
         if re.denominator != 1:
             raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
                             % (e, r))
-        u = QSeries({n - e: c for n, c in self.coeffs.items()}, self.trunc - e)
-        x = _exp(_log(u).scale(r))
-        return x.shift(int(re))
+        p, q = r.numerator, r.denominator
+        span = self.trunc - e
+        g = _stride(self.coeffs, e) or span
+        rest = sorted(((n - e) // g, c) for n, c in self.coeffs.items() if n != e)
+        out = [1] + [0] * ((span - 1) // g)
+        for n in range(1, len(out)):
+            s = 0
+            for k, c in rest:
+                if k > n:
+                    break
+                y = out[n - k]
+                if y:
+                    s += ((p + q) * k - q * n) * c * y
+            if s:
+                out[n] = _coeff_div(s, q * n)
+        return _from_slots(out, int(re), g, int(re) + span)
 
     # -- comparison and display -------------------------------------------------
 
@@ -297,46 +317,6 @@ class QSeries:
             raise ValueError("unsupported grid %r" % obj.get("grid"))
         return QSeries({int(n): Fraction(v) for n, v in obj["terms"]},
                        obj["trunc"])
-
-
-# -- exp/log kernels ------------------------------------------------------------
-
-
-def _log(u: QSeries) -> QSeries:
-    """Formal logarithm of u = 1 + (positive-index part)."""
-    if u.coeff(0) != 1:
-        raise ValueError("log needs constant term 1, got %s" % (u.coeff(0),))
-    du = u.derivative()
-    v = du * u.inv()  # valid to trunc - GRID
-    out = {}
-    for n, c in v.coeffs.items():
-        m = n + GRID
-        out[m] = c * Fraction(GRID, m)
-    return QSeries(out, v.trunc + GRID)
-
-
-def _exp(v: QSeries) -> QSeries:
-    """Formal exponential of v with v(0) = 0 (positive leading index)."""
-    if v.is_zero():
-        return QSeries.one(v.trunc)
-    if v.lead <= 0:
-        raise ValueError("exp needs a positive leading index, got %d" % v.lead)
-    t = v.trunc
-    g = _stride(v.coeffs, 0)
-    src = sorted((i // g, vc * i) for i, vc in v.coeffs.items())
-    out = [1] + [0] * ((t - 1) // g)
-    # E' = v' E  =>  n E_n = sum_i i v_i E_{n-i}, in units of the stride g
-    for n in range(src[0][0], len(out)):
-        s = 0
-        for i, ivc in src:
-            if i > n:
-                break
-            y = out[n - i]
-            if y:
-                s += ivc * y
-        if s:
-            out[n] = _norm_coeff(s * Fraction(1, n * g))
-    return _from_slots(out, 0, g, t)
 
 
 def denominator_profile(a: QSeries):

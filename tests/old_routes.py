@@ -1,8 +1,10 @@
 """Replaced routes, kept as independent oracles for the code that replaced
 them: the one-operation-at-a-time Q(zeta_48) routes behind svoa.cyclo's
 fused sum-of-products kernel, the per-kind extremal routes behind
-svoa.extremal's kind table, and the one-off product routes behind
-svoa.qseries.eta_quotient.
+svoa.extremal's kind table, the one-off product routes behind
+svoa.qseries.eta_quotient, and the formal log/exp fractional power and the
+derivative-loop Lagrange inversion behind Miller's power recurrence and the
+direct Lagrange-Buermann coefficient.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -15,13 +17,15 @@ Nothing here calls `svoa.cyclo.dot`; results are compared through
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, floor, gcd
+from math import comb, factorial, floor, gcd
 
 from svoa.cyclo import Cyclo
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
-                           ExtremalSolution, NotDecomposableError, ShadowReport)
+                           ExtremalSolution, NotDecomposableError, ShadowReport,
+                           _kind)
 from svoa.invariants import MultiPoly
-from svoa.qseries import (GRID, QSeries, _coeff_div, cbrt_j, chi_half,
+from svoa.qseries import (GRID, GridError, QSeries, _coeff_div, _from_slots,
+                          _norm_coeff, _stride, cbrt_j, chi_half,
                           cusp1_chi_half, theta_Z_half, vacuum)
 
 DEGREE = 16
@@ -474,7 +478,7 @@ def chi_ising_16(trunc) -> QSeries:
     e = s.lead
     u = QSeries({n - e: _coeff_div(c, s.coeffs[e]) for n, c in s.coeffs.items()},
                 s.trunc - e)
-    return u.pow_rational(Fraction(1, 2)).shift(e // 2)
+    return pow_rational(u, Fraction(1, 2)).shift(e // 2)
 
 
 def orbifold_character(theta: QSeries, c) -> QSeries:
@@ -496,3 +500,97 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
     twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))
     twisted = twisted.scale(Fraction(2 ** (cc // 2), 2))
     return untwisted.shift(-2 * cc) + twisted.shift(cc)
+
+
+# -- the formal-calculus routes that the one-pass closed forms replaced --------
+#
+# QSeries.pow_rational as exp(r log u) over the two formal kernels, and
+# buermann_alpha as r - 1 repeated derivatives over r!, as they were before
+# svoa.qseries ran Miller's power recurrence and svoa.extremal read the
+# Lagrange-Buermann coefficient directly.  `pow_rational` takes the series as
+# its first argument.
+
+
+def pow_rational(self, r) -> QSeries:
+    """a^r for rational r via formal exp(r log u) on the unit part.
+
+    Requires leading coefficient exactly 1; the shifted leading
+    exponent r*lead must land back on the 1/48 grid.
+    """
+    r = Fraction(r)
+    if r.denominator == 1:
+        return self ** int(r)
+    if self.is_zero():
+        raise ZeroDivisionError("fractional power of the zero series")
+    e = self.lead
+    if self.coeffs[e] != 1:
+        raise ValueError("fractional power needs leading coefficient 1, got %s"
+                         % (self.coeffs[e],))
+    re = r * e
+    if re.denominator != 1:
+        raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
+                        % (e, r))
+    u = QSeries({n - e: c for n, c in self.coeffs.items()}, self.trunc - e)
+    x = _exp(_log(u).scale(r))
+    return x.shift(int(re))
+
+
+def _log(u: QSeries) -> QSeries:
+    """Formal logarithm of u = 1 + (positive-index part)."""
+    if u.coeff(0) != 1:
+        raise ValueError("log needs constant term 1, got %s" % (u.coeff(0),))
+    du = u.derivative()
+    v = du * u.inv()  # valid to trunc - GRID
+    out = {}
+    for n, c in v.coeffs.items():
+        m = n + GRID
+        out[m] = c * Fraction(GRID, m)
+    return QSeries(out, v.trunc + GRID)
+
+
+def _exp(v: QSeries) -> QSeries:
+    """Formal exponential of v with v(0) = 0 (positive leading index)."""
+    if v.is_zero():
+        return QSeries.one(v.trunc)
+    if v.lead <= 0:
+        raise ValueError("exp needs a positive leading index, got %d" % v.lead)
+    t = v.trunc
+    g = _stride(v.coeffs, 0)
+    src = sorted((i // g, vc * i) for i, vc in v.coeffs.items())
+    out = [1] + [0] * ((t - 1) // g)
+    # E' = v' E  =>  n E_n = sum_i i v_i E_{n-i}, in units of the stride g
+    for n in range(src[0][0], len(out)):
+        s = 0
+        for i, ivc in src:
+            if i > n:
+                break
+            y = out[n - i]
+            if y:
+                s += ivc * y
+        if s:
+            out[n] = _norm_coeff(s * Fraction(1, n * g))
+    return _from_slots(out, 0, g, t)
+
+
+def buermann_alpha(c, r: int, kind: str) -> Fraction:
+    """Coefficient alpha_r of the expansion of (vacuum character) *
+    (generator power) in powers of the hauptmodul inverse, computed by the
+    Lagrange inversion formula.  Agrees with the a_r of the linear solve
+    for 0 < r <= k."""
+    c = Fraction(c)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    kd = _kind(kind)
+    step = kd.step
+    rel = step * (r + 4) + kd.extra
+    vac = vacuum(c, rel)
+    g = vac * (kd.gen(rel + GRID) ** -int(c / kd.unit))
+    haupt = kd.haupt(rel + 2 * GRID).shift(step)  # monic in q^(step/48)
+    h = g.derivative(step) * (haupt ** r)
+    for _ in range(r - 1):
+        if h.trunc <= 0:
+            raise ExtremalError("truncation too small for %d derivatives" % (r - 1))
+        h = h.derivative(step)
+    if h.trunc <= 0:
+        raise ExtremalError("truncation too small for r=%d" % r)
+    return Fraction(h.coeff(0)) / factorial(r)

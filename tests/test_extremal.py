@@ -82,8 +82,9 @@ def test_extremal_svoa_is_polynomial_character():
 
 
 def test_buermann_alpha1():
-    assert buermann_alpha(24, 1, "VOA") == -248 * 3
-    assert buermann_alpha(48, 1, "VOA") == -248 * 6
+    for route in (buermann_alpha, old_routes.buermann_alpha):
+        assert route(24, 1, "VOA") == -248 * 3
+        assert route(48, 1, "VOA") == -248 * 6
 
 
 @pytest.mark.parametrize("c,kind", [
@@ -96,13 +97,26 @@ def test_buermann_matches_linear_solve(c, kind):
     assert sol.k >= 1
     for r in range(1, sol.k + 1):
         assert buermann_alpha(c, r, kind) == sol.a[r], (c, r)
+        assert old_routes.buermann_alpha(c, r, kind) == sol.a[r], (c, r)
 
 
 def test_buermann_input_validation():
-    with pytest.raises(ValueError):
-        buermann_alpha(24, 0, "VOA")
-    with pytest.raises(ValueError):
-        buermann_alpha(24, 1, "XYZ")
+    for route in (buermann_alpha, old_routes.buermann_alpha):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            route(24, 0, "VOA")
+        with pytest.raises(ValueError, match="kind must be VOA or SVOA"):
+            route(24, 1, "XYZ")
+
+
+def test_buermann_matches_derivative_loop():
+    # every SVOA rank 8..56 with 1 <= r <= floor(c/8), every VOA rank 24..72
+    # with 1 <= r <= floor(c/24): 355 coefficients
+    items = [(F(h, 2), r, "SVOA") for h in range(16, 113) for r in range(1, h // 16 + 1)]
+    items += [(c, r, "VOA") for c in range(24, 73, 8) for r in range(1, c // 24 + 1)]
+    assert len(items) == 355
+    for c, r, kind in items:
+        assert buermann_alpha(c, r, kind) == old_routes.buermann_alpha(c, r, kind), \
+            (c, r, kind)
 
 
 # -- decomposition -------------------------------------------------------------------

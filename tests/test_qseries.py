@@ -247,17 +247,24 @@ def test_str_format():
     assert "q^(25/48)" in str(QSeries({25: 1}, 48))
 
 
-def test_log_exp_domain_errors_survive_optimize():
-    with pytest.raises(ValueError, match="constant term 1"):
-        qs._log(QSeries({0: 2, 48: 1}, T))
-    with pytest.raises(ValueError, match="positive leading index"):
-        qs._exp(QSeries({0: 1}, T))
-    code = ("from svoa import qseries as qs\n"
-            "try:\n"
-            "    qs._log(qs.QSeries({0: 2, 48: 1}, 96))\n"
-            "except ValueError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
+def test_pow_rational_domain_errors_survive_optimize():
+    half = Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError, match="zero series"):
+        QSeries.zero(T).pow_rational(half)
+    with pytest.raises(ValueError, match="leading coefficient 1"):
+        QSeries({0: 2, 48: 1}, T).pow_rational(half)
+    with pytest.raises(GridError, match="leaves the 1/48 grid"):
+        QSeries({1: 1, 48: 1}, T).pow_rational(half)
+    code = ("from fractions import Fraction\n"
+            "from svoa import qseries as qs\n"
+            "for coeffs, error in (({}, ZeroDivisionError),\n"
+            "                      ({0: 2, 48: 1}, ValueError),\n"
+            "                      ({1: 1, 48: 1}, qs.GridError)):\n"
+            "    try:\n"
+            "        qs.QSeries(coeffs, 96).pow_rational(Fraction(1, 2))\n"
+            "    except error:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n")
     src = os.path.dirname(os.path.dirname(qs.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
@@ -328,7 +335,8 @@ def _grid_exp(v):
 
 
 def _grid_pow_rational(a, r):
-    """pow_rational with the grid kernels in place of mul, inv and _exp."""
+    """The log/exp pow_rational route with the grid kernels in place of mul,
+    inv and _exp."""
     e = a.lead
     u = QSeries({n - e: c for n, c in a.coeffs.items()}, a.trunc - e)
     du = u.derivative()
@@ -372,7 +380,11 @@ def test_stride_kernels_match_grid_kernels(kind):
         assert _same(a * b, _grid_mul(a, b)), (trial, a, b)
         assert _same(a.inv(), _grid_inv(a)), (trial, a)
         v = _strided_series(rng, rng.choice(STRIDES), kind, lead=rng.randint(1, 60))
-        assert _same(qs._exp(v), _grid_exp(v)), (trial, v)
+        # made monic, to a power r with r * lead = +-1 on the grid
+        v = QSeries({**v.coeffs, v.lead: 1}, v.trunc)
+        r = Fraction((-1) ** trial, v.lead)
+        assert _same(v.pow_rational(r), _grid_pow_rational(v, r)), (trial, v, r)
+        assert _same(v.pow_rational(r), old_routes.pow_rational(v, r)), (trial, v, r)
 
 
 @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4)])
@@ -382,6 +394,7 @@ def test_pow_rational_matches_grid_kernels(r):
         lead = r.denominator * rng.randint(-15, 15)
         a = _strided_series(rng, rng.choice(STRIDES), "fraction", lead=lead, monic=True)
         assert _same(a.pow_rational(r), _grid_pow_rational(a, r)), (trial, a)
+        assert _same(a.pow_rational(r), old_routes.pow_rational(a, r)), (trial, a)
 
 
 def test_stride_is_the_gcd_of_the_whole_support():
@@ -392,13 +405,56 @@ def test_stride_is_the_gcd_of_the_whole_support():
     assert _same(a * b, _grid_mul(a, b)) and (a * b).coeff(49) == 3
     assert _same(a.inv(), _grid_inv(a)) and a.inv().coeff(73) == -3
     v = QSeries({24: 1, 97: Fraction(1, 2)}, 480)
-    assert _same(qs._exp(v), _grid_exp(v)) and qs._exp(v).coeff(121) == Fraction(1, 2)
+    for r in (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 24)):
+        assert _same(v.pow_rational(r), _grid_pow_rational(v, r)), r
+        assert _same(v.pow_rational(r), old_routes.pow_rational(v, r)), r
+    assert v.pow_rational(Fraction(1, 2)).coeff(85) == Fraction(1, 4)
     # single terms: the kernels need no stride at all
     assert _same(QSeries({5: 2}, 300) * QSeries({-7: 3}, 100),
                  _grid_mul(QSeries({5: 2}, 300), QSeries({-7: 3}, 100)))
     assert _same(QSeries({5: 2}, 300).inv(), _grid_inv(QSeries({5: 2}, 300)))
     c = QSeries({-5: 1, 40: 2}, 400)
     assert _same(QSeries({5: 2}, 300) * c, _grid_mul(QSeries({5: 2}, 300), c))
+
+
+# -- Miller's power recurrence against the replaced log/exp route --------------
+
+
+def test_roots_of_j_theta_match_log_exp_route():
+    # the weight-1/2 generator as the 24th root, and the q^31 fifth root of
+    # the theta quotient's unit part from the denominator criterion
+    for t in list(range(1, 61)) + [100, 300]:
+        jt = qs.j_theta(48 * t)
+        assert _same(jt.pow_rational(Fraction(1, 24)),
+                     old_routes.pow_rational(jt, Fraction(1, 24))), t
+    u = qs.j_theta(48 * 31).shift(24)
+    assert _same(u.pow_rational(Fraction(1, 5)),
+                 old_routes.pow_rational(u, Fraction(1, 5)))
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4),
+                               Fraction(-7, 2), Fraction(1, 24)])
+def test_pow_rational_matches_log_exp_route(r):
+    rng = random.Random(int(r * 48))
+    for trial in range(40):
+        lead = r.denominator * rng.randint(-4, 4)
+        a = _strided_series(rng, rng.choice(STRIDES), ("int", "fraction")[trial % 2],
+                            lead=lead, monic=True)
+        assert _same(a.pow_rational(r), old_routes.pow_rational(a, r)), (trial, a)
+
+
+def test_pow_rational_errors_match_log_exp_route():
+    for a, r in ((QSeries.zero(T), Fraction(1, 2)),
+                 (QSeries({0: 2, 48: 1}, T), Fraction(1, 2)),
+                 (QSeries({0: Fraction(1, 3)}, T), Fraction(-1, 3)),
+                 (QSeries({5: 1, 53: 2}, T), Fraction(1, 2)),
+                 (qs.j_theta(T), Fraction(1, 5))):
+        errors = []
+        for route in (QSeries.pow_rational, old_routes.pow_rational):
+            with pytest.raises((ZeroDivisionError, ValueError)) as exc:
+                route(a, r)
+            errors.append((exc.type, str(exc.value)))
+        assert errors[0] == errors[1], (a, r)
 
 
 # -- eta quotients against the replaced product routes -------------------------
