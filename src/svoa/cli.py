@@ -190,6 +190,11 @@ def run(argv) -> int:
     trunc = args.order * GRID
     if cmd == "series" and args.name == "vacuum" and args.rank is None:
         parser.error("series vacuum needs --rank")
+    if cmd == "series" and args.rank is not None and args.name not in (
+            "vacuum", "generic_module"):
+        parser.error("series %s takes no --rank" % args.name)
+    if cmd == "series" and args.weight is not None and args.name != "generic_module":
+        parser.error("series %s takes no --weight" % args.name)
     if cmd == "series" and args.name == "generic_module":
         if args.rank is None or args.weight is None:
             parser.error("series generic_module needs --rank and --weight")

@@ -2,11 +2,12 @@
 polynomials, and the constraint solve for the degree-48 weight-enumerator
 polynomial of the moonshine module.
 
-The group action substitutes (a, b, c) -> g.(a, b, c).  Substitution is
-performed through a PLU decomposition of g into variable permutations,
-diagonal rescalings and single shears x_s -> x_s + t*x_u, which keeps the
-blow-up per stage linear in the degree instead of expanding powers of full
-linear forms.
+The group action substitutes (a, b, c) -> g.(a, b, c).  g is balanced as
+diag(a) . R . diag(b), which takes the sqrt 2 of the rank-1/2 S out of its
+core R, and R goes through a PLU decomposition into variable permutations,
+diagonal rescalings and single shears x_s -> x_s + t*x_u (Taylor shifts),
+which keeps the blow-up per stage linear in the degree instead of
+expanding powers of full linear forms.
 """
 
 from __future__ import annotations
@@ -144,10 +145,15 @@ def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
     The terms that agree in every exponent but those of x_s and x_t, and in
     the sum of those two, form a line, which the shear maps into itself: its
     coefficient at x_s^a becomes sum_e c_e comb(e, a) lam^(e-a), one sum of
-    products per output term.
+    products per output term.  With lam and every coefficient rational the
+    sums are plain int or Fraction sums; a Cyclo anywhere sends them to
+    `dot`.
     """
+    lam = _norm_coeff(lam)
     if lam == 0:
         return P
+    rational = not isinstance(lam, Cyclo) and not any(
+        isinstance(c, Cyclo) for c in P.terms.values())
     lines = {}
     for mono, c in P.terms.items():
         key = list(mono)
@@ -167,12 +173,17 @@ def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
             m = list(key)
             m[s] = a
             m[t] -= a
-            out[tuple(m)] = dot((c, table[e][a]) for e, c in line if e >= a)
+            if rational:
+                out[tuple(m)] = sum(c * table[e][a] for e, c in line if e >= a)
+            else:
+                out[tuple(m)] = dot((c, table[e][a]) for e, c in line if e >= a)
     return MultiPoly(out)
 
 
 def _rescale(P: MultiPoly, scales) -> MultiPoly:
     """Substitute x_i -> scales[i] * x_i."""
+    if all(s == 1 for s in scales):
+        return P
     maxdeg = P.degree()
     pows = []
     for s in scales:
@@ -201,18 +212,44 @@ def _permute(P: MultiPoly, perm) -> MultiPoly:
     return MultiPoly(out)
 
 
+def _lead(xs):
+    """The first nonzero entry of xs; none makes the matrix singular."""
+    for x in xs:
+        if not x.is_zero():
+            return x
+    raise ZeroDivisionError("singular substitution matrix")
+
+
+def _balance(g):
+    """Split g as diag(a) . R . diag(b): b_j is the first nonzero entry of
+    column j, and a_i makes the first nonzero entry of row i of R equal 1."""
+    b = [_lead(col) for col in zip(*g.rows)]
+    inv_b = [x.inv() for x in b]
+    core = [[x * y for x, y in zip(r, inv_b)] for r in g.rows]
+    a = [_lead(r) for r in core]
+    inv_a = [x.inv() for x in a]
+    return a, [[x * y for x in r] for r, y in zip(core, inv_a)], b
+
+
 def poly_act(g, P: MultiPoly) -> MultiPoly:
     """P(g.(a,b,c)) expanded and collected.
 
     g is a CycMatrix of dimension 3; the substitution image of variable
-    x_s is sum_t g[s][t] x_t.
+    x_s is sum_t g[s][t] x_t.  With g = diag(a) . R . diag(b) (`_balance`),
+    P is rescaled by a, sent through R = P^-1 L U and rescaled by b.  For the
+    rank-1/2 S, a = (1, 1, sqrt 2), b = (1/2, 1/2, 1/sqrt 2) and R = [[1, 1,
+    1], [1, 1, -1], [1, -1, 0]]: the sqrt 2 stays out of R's shears, which
+    therefore run on ints once P's coefficients are rational after the
+    rescaling by a (p2, p3, p4).  U is applied row by row from the bottom,
+    by shears with its own entries and then a rescaling by its diagonal, so
+    no entry of U is divided.
     """
     n = g.n
     if n != NVARS:
         raise ValueError("action needs a 3x3 matrix")
-    # PA = LU with partial pivoting; op_A = op_U . op_L . op_{P^-1}.  Not
+    scale_a, a, scale_b = _balance(g)
+    # P R = L U with partial pivoting; op_R = op_U . op_L . op_{P^-1}.  Not
     # linalg.gauss_jordan: the multipliers themselves are the shears.
-    a = [list(r) for r in g.rows]
     perm = list(range(n))
     lower = [[cyc_zero() for _ in range(n)] for _ in range(n)]
     for col in range(n):
@@ -229,24 +266,22 @@ def poly_act(g, P: MultiPoly) -> MultiPoly:
             lower[r][col] = f
             if not f.is_zero():
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    # a now holds U; perm holds the row permutation pi with (PA)[r] = A[perm[r]]
+    # a now holds U; perm holds the row permutation pi with (P R)[r] = R[perm[r]]
     # Apply op_{P^{-1}}: x_{perm[r]} -> x_r, i.e. substitution x_i -> x_{pos[i]}
     pos = [0] * n
     for r, p in enumerate(perm):
         pos[p] = r
-    out = _permute(P, pos)
+    out = _permute(_rescale(P, scale_a), pos)
     # op_L: unit lower triangular, shears ordered column-major
     for col in range(n):
         for row in range(col + 1, n):
             out = _shear(out, row, col, lower[row][col])
-    # op_U = op_{U'} . op_D with U = D U'
-    diag = [a[i][i] for i in range(n)]
-    out = _rescale(out, diag)
-    inv_diag = [d.inv() for d in diag]
-    for col in range(n - 1, -1, -1):
-        for row in range(col):
-            out = _shear(out, row, col, a[row][col] * inv_diag[row])
-    return out
+    # op_U: row r of U is x_r -> sum_c U_rc x_c, bottom row first
+    for row in range(n - 1, -1, -1):
+        for col in range(row + 1, n):
+            out = _shear(out, row, col, a[row][col])
+        out = _rescale(out, [a[row][row] if i == row else 1 for i in range(n)])
+    return _rescale(out, scale_b)
 
 
 # -- the invariant polynomials -------------------------------------------------

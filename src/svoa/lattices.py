@@ -31,6 +31,8 @@ class Lattice:
 
 # -- catalog -----------------------------------------------------------------------
 
+# the catalog's names; Zn, Dn and Dn+ stand for their families
+LATTICE_NAMES = ("Zn", "Dn", "Dn+", "E8", "E7", "E7E7+", "A15+", "Leech")
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 # E7 = (Z^8 u (Z+1/2)^8) at sum zero; its nonzero dual class is (Z +- 1/4)^8
 _E7 = (((8, 0, 0),), ((8, _HALF, 0),))
@@ -38,7 +40,6 @@ _E7_GLUE = (((8, _QUARTER, 0),), ((8, 3 * _QUARTER, 0),))
 
 
 def lattice_catalog(name: str) -> Lattice:
-    """Catalog lookup: Zn, Dn, Dn+, E8, E7, E7E7+, A15+, D12+, Leech."""
     key = name.strip()
     if key == "Leech":
         # theta is formula-backed; no coordinate data needed
@@ -69,11 +70,15 @@ def lattice_catalog(name: str) -> Lattice:
     if key == "A15+":
         return Lattice("A15+", 15,
                        tuple(((16, Fraction(j, 16), 0),) for j in (0, 4, 8, 12)))
-    raise ValueError("unknown lattice %r" % name)
+    raise ValueError("unknown lattice %r (have: %s)"
+                     % (name, ", ".join(LATTICE_NAMES)))
+
+
+lattice_catalog.__doc__ = "Catalog lookup: %s." % ", ".join(LATTICE_NAMES)
 
 
 def lattice_names():
-    return ["Zn", "Dn", "Dn+", "E8", "E7", "E7E7+", "A15+", "D12+", "Leech"]
+    return list(LATTICE_NAMES)
 
 
 # -- exact counting ----------------------------------------------------------------

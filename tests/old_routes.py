@@ -4,14 +4,16 @@ fused sum-of-products kernel, the per-kind extremal routes behind
 svoa.extremal's kind table, the one-off product routes behind
 svoa.qseries.eta_quotient, and the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
-direct Lagrange-Buermann coefficient.
+direct Lagrange-Buermann coefficient, and the PLU group action behind
+svoa.invariants.poly_act's balanced split.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
 every product.  On top of it sit the triple-loop matrix product, the
 cofactor determinant, breadth-first group closure, the Molien recurrence
 and the push-style polynomial shear, as they were before the kernel.
-Nothing here calls `svoa.cyclo.dot`; results are compared through
+Apart from the PLU group action, kept as it ran on the fused kernel,
+nothing here calls `svoa.cyclo.dot`; results are compared through
 `Cyclo.num` and `Cyclo.den`.
 """
 
@@ -19,14 +21,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, floor, gcd
 
-from svoa.cyclo import Cyclo
+from svoa.cyclo import Cyclo, cyc_zero, dot
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport,
                            _kind)
-from svoa.invariants import MultiPoly
+from svoa.invariants import NVARS, MultiPoly, _norm_coeff, _permute
 from svoa.qseries import (GRID, GridError, QSeries, _coeff_div, _from_slots,
-                          _norm_coeff, _stride, cbrt_j, chi_half,
-                          cusp1_chi_half, theta_Z_half, vacuum)
+                          _norm_coeff as _series_norm_coeff, _stride, cbrt_j,
+                          chi_half, cusp1_chi_half, theta_Z_half, vacuum)
 
 DEGREE = 16
 
@@ -263,6 +265,116 @@ def shear(P, s, t, lam):
             out[m] = out.get(m, 0) + c * comb(e, r) * powers[r]
     return MultiPoly({m: c.cyclo() if isinstance(c, Dense) else c
                       for m, c in out.items()})
+
+
+# -- the PLU route of the group action ----------------------------------------
+#
+# svoa.invariants.poly_act as it was before it split g as diag(a) . R .
+# diag(b): the shears come from a PLU decomposition of g itself, so for the
+# rank-1/2 S their multipliers carry sqrt 2, and U is applied as a rescaling
+# by its diagonal followed by shears divided by it.  `_shear` and `_rescale`
+# are the line-algorithm shear (every sum through `dot`) and the rescaling
+# it called.
+
+
+def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
+    """Substitute x_s -> x_s + lam * x_t (s != t).
+
+    The terms that agree in every exponent but those of x_s and x_t, and in
+    the sum of those two, form a line, which the shear maps into itself: its
+    coefficient at x_s^a becomes sum_e c_e comb(e, a) lam^(e-a), one sum of
+    products per output term.
+    """
+    if lam == 0:
+        return P
+    lines = {}
+    for mono, c in P.terms.items():
+        key = list(mono)
+        key[t] += key[s]
+        key[s] = 0
+        lines.setdefault(tuple(key), []).append((mono[s], c))
+    powers = [1]
+    table = {}  # e -> [comb(e, a) lam^(e-a) for a = 0..e]
+    out = {}
+    for key, line in lines.items():
+        for e, _ in line:
+            while len(powers) <= e:
+                powers.append(_norm_coeff(powers[-1] * lam))
+            if e not in table:
+                table[e] = [comb(e, a) * powers[e - a] for a in range(e + 1)]
+        for a in range(max(e for e, _ in line) + 1):
+            m = list(key)
+            m[s] = a
+            m[t] -= a
+            out[tuple(m)] = dot((c, table[e][a]) for e, c in line if e >= a)
+    return MultiPoly(out)
+
+
+def _rescale(P: MultiPoly, scales) -> MultiPoly:
+    """Substitute x_i -> scales[i] * x_i."""
+    maxdeg = P.degree()
+    pows = []
+    for s in scales:
+        col = [1]
+        for _ in range(maxdeg):
+            col.append(_norm_coeff(col[-1] * s))
+        pows.append(col)
+    out = {}
+    for mono, c in P.terms.items():
+        f = c
+        for v in range(NVARS):
+            if mono[v]:
+                f = f * pows[v][mono[v]]
+        out[mono] = out.get(mono, 0) + f
+    return MultiPoly(out)
+
+
+def poly_act_plu(g, P: MultiPoly) -> MultiPoly:
+    """P(g.(a,b,c)) expanded and collected.
+
+    g is a CycMatrix of dimension 3; the substitution image of variable
+    x_s is sum_t g[s][t] x_t.
+    """
+    n = g.n
+    if n != NVARS:
+        raise ValueError("action needs a 3x3 matrix")
+    # PA = LU with partial pivoting; op_A = op_U . op_L . op_{P^-1}.  Not
+    # linalg.gauss_jordan: the multipliers themselves are the shears.
+    a = [list(r) for r in g.rows]
+    perm = list(range(n))
+    lower = [[cyc_zero() for _ in range(n)] for _ in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("singular substitution matrix")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            perm[col], perm[piv] = perm[piv], perm[col]
+            lower[col], lower[piv] = lower[piv], lower[col]
+        inv_p = a[col][col].inv()
+        for r in range(col + 1, n):
+            f = a[r][col] * inv_p
+            lower[r][col] = f
+            if not f.is_zero():
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    # a now holds U; perm holds the row permutation pi with (PA)[r] = A[perm[r]]
+    # Apply op_{P^{-1}}: x_{perm[r]} -> x_r, i.e. substitution x_i -> x_{pos[i]}
+    pos = [0] * n
+    for r, p in enumerate(perm):
+        pos[p] = r
+    out = _permute(P, pos)
+    # op_L: unit lower triangular, shears ordered column-major
+    for col in range(n):
+        for row in range(col + 1, n):
+            out = _shear(out, row, col, lower[row][col])
+    # op_U = op_{U'} . op_D with U = D U'
+    diag = [a[i][i] for i in range(n)]
+    out = _rescale(out, diag)
+    inv_diag = [d.inv() for d in diag]
+    for col in range(n - 1, -1, -1):
+        for row in range(col):
+            out = _shear(out, row, col, a[row][col] * inv_diag[row])
+    return out
 
 
 # -- the extremal routes that the kind table and the shared peel replaced ------
@@ -568,7 +680,7 @@ def _exp(v: QSeries) -> QSeries:
             if y:
                 s += ivc * y
         if s:
-            out[n] = _norm_coeff(s * Fraction(1, n * g))
+            out[n] = _series_norm_coeff(s * Fraction(1, n * g))
     return _from_slots(out, 0, g, t)
 
 

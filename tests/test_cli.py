@@ -261,6 +261,8 @@ def test_global_flags_after_subcommand(capsys):
     (None, ["series", "generic_module", "--weight", "2"]),
     (None, ["series", "generic_module", "--rank", "24"]),
     (None, ["series", "generic_module", "--rank", "1/2", "--weight", "1/7"]),
+    (None, ["--order", "1", "series", "j", "--rank", "3", "--weight", "1/7"]),
+    (None, ["series", "vacuum", "--rank", "4", "--weight", "1/7"]),
 ])
 def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
                                           env_order, argv):

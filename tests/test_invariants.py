@@ -7,13 +7,13 @@ import pytest
 
 import old_routes
 from svoa import invariants
-from svoa.cyclo import zeta_pow
+from svoa.cyclo import sqrt2, zeta_pow
 from svoa.invariants import (ConstraintError, DEFAULT_CONSTRAINTS, MultiPoly,
                              basis_invariants, basis_rank, check_invariance,
                              degree48_basis, evaluate_at_characters,
                              monster_polynomial, poly_act,
                              solve_monster_polynomial)
-from svoa.modrep import character_rep
+from svoa.modrep import CycMatrix, character_rep
 from svoa.qseries import j_function
 
 
@@ -191,3 +191,72 @@ def test_shear_matches_push_style_shear():
             for lam in lams:
                 assert invariants._shear(P, s, t, lam) == old_routes.shear(P, s, t, lam)
     assert invariants._shear(p4, 2, 0, lams[1]) == old_routes.shear(p4, 2, 0, lams[1])
+
+
+def test_balance_of_rank_half_s():
+    _, S = character_rep(Fraction(1, 2))
+    a, core, b = invariants._balance(S)
+    r2 = sqrt2()
+    assert a == [1, 1, r2]
+    assert b == [Fraction(1, 2), Fraction(1, 2), r2 * Fraction(1, 2)]
+    assert core == [[1, 1, 1], [1, 1, -1], [1, -1, 0]]
+    assert CycMatrix([[x * y * z for y, z in zip(r, b)] for x, r in zip(a, core)]) == S
+
+
+@pytest.mark.parametrize("gname", ["S", "T", "ST", "TS"])
+def test_poly_act_matches_plu_route_on_basis(gname):
+    T, S = character_rep(Fraction(1, 2))
+    g = {"S": S, "T": T, "ST": S * T, "TS": T * S}[gname]
+    for p in basis_invariants():
+        assert poly_act(g, p) == old_routes.poly_act_plu(g, p)
+
+
+def _irrational_core(g):
+    return any(not x.is_rational() for r in invariants._balance(g)[1] for x in r)
+
+
+def test_poly_act_matches_plu_route_on_group_elements():
+    # 24 seeded words in S and T: 20 with a rational core R and 4 with an
+    # irrational one, whose shears take the `dot` branch of `_shear`
+    T, S = character_rep(Fraction(1, 2))
+    rng = random.Random(48)
+    rational, irrational = [], []
+    while len(rational) < 20 or len(irrational) < 4:
+        g = CycMatrix.identity(3)
+        for _ in range(rng.randint(1, 10)):
+            g = g * rng.choice((S, T))
+        (irrational if _irrational_core(g) else rational).append(g)
+    p2 = basis_invariants()[1]
+    for g in rational[:20] + irrational[:4]:
+        assert poly_act(g, p2) == old_routes.poly_act_plu(g, p2)
+
+
+def test_poly_act_matches_plu_route_on_fraction_matrix():
+    rng = random.Random(3)
+    while True:
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+                for _ in range(3)]
+        rows[0][0] = 0  # forces a row swap in the PLU step
+        try:
+            CycMatrix(rows).inv()
+            break
+        except ZeroDivisionError:
+            continue
+    g = CycMatrix(rows)
+    P = MultiPoly({(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)):
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)})
+    for p in (P, basis_invariants()[0]):
+        assert poly_act(g, p) == old_routes.poly_act_plu(g, p)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [2, 4, 6], [0, 1, 1]],   # dependent rows, no zero row or column
+    [[0, 0, 0], [1, 1, 0], [0, 1, 1]],   # zero row, no zero column
+    [[1, 0, 2], [3, 0, 1], [0, 0, 1]],   # zero column
+])
+def test_singular_matrix_raises_on_both_routes(rows):
+    g = CycMatrix(rows)
+    p1 = basis_invariants()[0]
+    for act in (poly_act, old_routes.poly_act_plu):
+        with pytest.raises(ZeroDivisionError, match="singular substitution matrix"):
+            act(g, p1)

@@ -1,5 +1,6 @@
 """Lattice catalog, exact theta counting, lattice-theory characters."""
 
+import re
 import time
 from fractions import Fraction as F
 from math import isqrt, lcm
@@ -8,8 +9,9 @@ import pytest
 
 from svoa.cli import main
 from svoa.extremal import extremal_svoa, orbifold_character
-from svoa.lattices import (EnumerationBudgetError, _block_work, lattice_catalog,
-                           svoa_character, theta_series)
+from svoa.lattices import (LATTICE_NAMES, EnumerationBudgetError, _block_work,
+                           lattice_catalog, lattice_names, svoa_character,
+                           theta_series)
 from svoa.linalg import gauss_jordan
 from svoa.qseries import GRID, E4, QSeries, j_function
 
@@ -393,3 +395,17 @@ def test_svoa_character_values():
     x = svoa_character(L, -30 + 2 * GRID + 1)
     base = -30
     assert [x.coeff(base + o) for o in (0, 48, 72, 96)] == [1, 255, 3640, 27525]
+
+
+def test_lattice_names_are_one_list():
+    # every fixed name resolves; a family name resolves at one member
+    assert lattice_names() == list(LATTICE_NAMES)
+    for name in LATTICE_NAMES:
+        if "n" in name:
+            assert lattice_catalog(name.replace("n", "8")).dim == 8
+        else:
+            assert lattice_catalog(name).dim == {"E8": 8, "E7": 7, "E7E7+": 14,
+                                                 "A15+": 15, "Leech": 24}[name]
+    assert ", ".join(LATTICE_NAMES) in lattice_catalog.__doc__
+    with pytest.raises(ValueError, match=re.escape(", ".join(LATTICE_NAMES))):
+        lattice_catalog("Q8")
