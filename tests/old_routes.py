@@ -4,8 +4,10 @@ fused sum-of-products kernel, the per-kind extremal routes behind
 svoa.extremal's kind table, the one-off product routes behind
 svoa.qseries.eta_quotient, and the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
-direct Lagrange-Buermann coefficient, and the PLU group action behind
-svoa.invariants.poly_act's balanced split.
+direct Lagrange-Buermann coefficient, the PLU group action behind
+svoa.invariants.poly_act's balanced split, and the whole-matrix
+breadth-first closure and per-class Molien sums behind svoa.modrep's
+closure on row orbits and once-per-degree fold.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and

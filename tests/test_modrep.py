@@ -1,5 +1,6 @@
 """Modular representation matrices, group closure, Molien series, fusion."""
 
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 
 import old_routes
 from svoa.cyclo import sqrt2, zeta_pow
-from svoa.modrep import (CycMatrix, _check_relations, character_rep,
+from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, character_rep,
                          generate_group, molien, quantum_dimensions, verlinde)
 from svoa.qseries import GRID
 
@@ -157,22 +158,67 @@ def _coordinates(rows):
     return tuple(tuple((x.num, x.den) for x in r) for r in rows)
 
 
-@pytest.mark.parametrize("c", [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(47, 2)])
-def test_group_elements_match_triple_loop_closure(c):
-    T, S = character_rep(c)
-    G = generate_group([S, T])
-    oracle = old_routes.generate_group([old_routes.dense_matrix(S),
-                                        old_routes.dense_matrix(T)])
+# one rank per group order
+_ORDERS = {Fraction(1, 2): 1152, 1: 576, Fraction(3, 2): 384, 2: 72,
+           Fraction(47, 2): 1152, 0: 6, 4: 18, 6: 24, 3: 192}
+
+
+def _assert_closure_matches(gens, order):
+    G = generate_group(gens)
+    oracle = old_routes.generate_group([old_routes.dense_matrix(g) for g in gens])
+    assert G.order == order
     assert {_coordinates(g.rows) for g in G.elements} == {_coordinates(g) for g in oracle}
 
 
-@pytest.mark.parametrize("c", [Fraction(1, 2), 2])
+@pytest.mark.parametrize("c", list(_ORDERS))
+def test_group_elements_match_triple_loop_closure(c):
+    T, S = character_rep(c)
+    _assert_closure_matches([S, T], _ORDERS[c])
+
+
+@pytest.mark.parametrize("name", ["[T, S]", "[S, T, S*T]", "signed permutations",
+                                  "identity"])
+def test_other_generator_sets_match_triple_loop_closure(name):
+    T, S = character_rep(Fraction(1, 2))
+    T1, S1 = character_rep(1)
+    gens, order = {
+        "[T, S]": ([T, S], 1152),
+        "[S, T, S*T]": ([S1, T1, S1 * T1], 576),
+        "signed permutations": ([CycMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+                                 CycMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                                 CycMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])], 48),
+        "identity": ([CycMatrix.identity(3)], 1),
+    }[name]
+    _assert_closure_matches(gens, order)
+
+
+def test_group_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        generate_group([CycMatrix.identity(3), CycMatrix.identity(4)])
+
+
+def test_group_cap_bounds_infinite_closure():
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="cap 500"):
+        generate_group([CycMatrix([[1, 1], [0, 1]])], cap=500)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2), 1, 2])
 def test_molien_matches_per_operation_route(c):
     T, S = character_rep(c)
     G = generate_group([S, T])
-    rho = molien(G, 48)
+    rho = molien(G, 100)
     elements = [old_routes.dense_matrix(g) for g in G.elements]
-    assert [rho.coeff(GRID * k) for k in range(49)] == old_routes.molien(elements, 48)
+    assert [rho.coeff(GRID * k) for k in range(101)] == old_routes.molien(elements, 100)
+
+
+def test_molien_rejects_a_set_that_is_not_a_group():
+    signs = [CycMatrix.identity(3), CycMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+             CycMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])]
+    # (1/3)(1/(1-t)^3 + 2/((1-t)^2 (1+t))) = 1 + 5/3 t + ...
+    with pytest.raises(ArithmeticError, match="5/3 of t\\^1"):
+        molien(MatrixGroup(frozenset(signs)), 4)
 
 
 def test_minors_match_cofactor_route():
