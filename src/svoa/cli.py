@@ -62,11 +62,13 @@ def _lattice(text) -> lattices.Lattice:
 def _constraints(path):
     """The rows of a --constraints file: a JSON list of [i, j, k, value]
     with integer i, j, k and an integer or "p/q" string value."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             rows = json.load(fh)
-        except ValueError:
-            rows = None
+    except OSError as exc:
+        raise argparse.ArgumentTypeError("cannot read %s: %s" % (path, exc.strerror))
+    except ValueError:
+        rows = None
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == 4 and type(row[3]) in (int, str)
             and all(type(e) is int for e in row[:3]) for row in rows):

@@ -13,8 +13,9 @@ All ring arithmetic is one kernel, `dot`, a sum of products: raw integer
 products accumulate in one 31-slot list over a running common denominator,
 reduced modulo Phi_48 and normalized once per sum.  Matrix products,
 minors, the Molien recurrence and the shears call it directly; `+`, `-` and
-`*` are one- or two-pair calls.  Inversion uses the Galois norm: a times
-its 15 nontrivial conjugates sigma_k (zeta -> zeta^k) is rational.
+`*` are one- or two-pair calls.  `sigma(k)` is the Galois automorphism
+zeta -> zeta^k; inversion uses the Galois norm: a times its 15 nontrivial
+conjugates sigma_k(a) is rational.
 """
 
 from __future__ import annotations
@@ -182,11 +183,18 @@ class Cyclo:
             return Cyclo.from_rational(1 / self.rational())
         P = _ONE
         for k in _UNITS:
-            vec = [0] * 48   # sigma_k maps zeta^i to zeta^(i*k)
-            for i, x in self.terms:
-                vec[i * k % 48] += x
-            P = P * Cyclo(vec, self.den)
+            P = P * self.sigma(k)
         return P * (1 / (self * P).rational())
+
+    def sigma(self, k: int) -> "Cyclo":
+        """The Galois conjugate sigma_k(self), sigma_k: zeta -> zeta^k for k
+        a unit mod 48; sigma_-1 is complex conjugation."""
+        if gcd(k, 48) != 1:
+            raise ValueError("zeta -> zeta^%d is not an automorphism" % k)
+        vec = [0] * 48
+        for i, x in self.terms:
+            vec[i * k % 48] += x
+        return Cyclo(vec, self.den)
 
     def __truediv__(self, other):
         return self * Cyclo.coerce(other).inv()

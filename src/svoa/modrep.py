@@ -6,12 +6,16 @@ the even/odd/twisted characters: a 3x3 one for c in Z+1/2 and two 4x4
 families for odd and even integer c.  T acts diagonally by the phases
 e^{2 pi i(-c/24 + h)}, S by the displayed orthogonal matrix; the residual
 sign freedom in the 4x4 S-matrices is resolved by requiring the modular
-relations S^4 = 1, S^2 = (ST)^3 and (ST)^6 = 1.
+relations S^4 = 1 and S^2 = (ST)^3 (which give (ST)^6 = 1).
 
 The group these generate is closed on the orbit of rows rather than by
 whole matrix products: each distinct row is multiplied by each generator
-once, and the closure itself runs on tuples of row ids.  Molien then sums
-1/det(1 - g t) over the classes of equal characteristic polynomial.
+once, and the closure itself runs on tuples of row ids, carrying each
+element's determinant as det(m g) = det(m) det(g).  Molien then sums
+1/det(1 - g t) over the classes of equal characteristic polynomial, keyed
+by the determinant and the lower half e_1..e_{n/2} of the coefficients;
+the upper half follows once per class, since the eigenvalues are roots of
+unity: e_{n-k} = det * conj(e_k).
 """
 
 from __future__ import annotations
@@ -97,8 +101,8 @@ class CycMatrix:
 def _expansion(rows, ri, ci):
     """Cofactor expansion of the minor rows[ri][ci] along its first row:
     the (entry, minor determinant) pairs of positive and of negative sign.
-    Not linalg.gauss_jordan: division-free, and Molien takes the principal
-    minors of every group element."""
+    Not linalg.gauss_jordan: division-free, and Molien's class keys take
+    principal minors of every group element."""
     pairs = ([], [])
     for j, c in enumerate(ci):
         x = rows[ri[0]][c]
@@ -129,7 +133,7 @@ def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
 
     c in Z+1/2 gives the 3x3 matrices; odd c the 4x4 family with +-i/2
     entries; even c the 4x4 family with +-1/2 entries.  The sign variant
-    is the unique one satisfying S^4 = 1, S^2 = (ST)^3, (ST)^6 = 1.
+    is the unique one satisfying S^4 = 1 and S^2 = (ST)^3.
     """
     c = Fraction(c)
     if (2 * c).denominator != 1:
@@ -170,15 +174,14 @@ def _diag_matrix(entries):
 
 
 def _relations_hold(S, T) -> bool:
-    ST = S * T
-    return ((S ** 4).is_identity()
-            and S * S == ST ** 3
-            and (ST ** 6).is_identity())
+    """S^4 = 1 and S^2 = (ST)^3 in five products; (ST)^6 = S^4 follows."""
+    S2, ST = S * S, S * T
+    return (S2 * S2).is_identity() and S2 == ST * ST * ST
 
 
 def _check_relations(S, T):
     if not _relations_hold(S, T):
-        raise ArithmeticError("modular relations S^4=1, S^2=(ST)^3, (ST)^6=1 violated")
+        raise ArithmeticError("modular relations S^4=1, S^2=(ST)^3 violated")
 
 
 # -- group closure ---------------------------------------------------------------
@@ -186,11 +189,18 @@ def _check_relations(S, T):
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    elements: frozenset
+    """A finite matrix group as the map from each element to its
+    determinant, which Molien's class keys read."""
+
+    dets: dict  # CycMatrix -> Cyclo
+
+    @property
+    def elements(self):
+        return self.dets.keys()
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.dets)
 
 
 def generate_group(gens, cap=10000) -> MatrixGroup:
@@ -200,8 +210,9 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
     interned as an id and meets each generator once: a lazy table per
     generator maps a row id to the id of row * g, one sum of products per
     entry.  The breadth-first closure then runs on n-tuples of row ids, where
-    m * g costs n table lookups.  Raises RuntimeError once the closure has
-    more than `cap` elements.
+    m * g costs n table lookups, and records det(m * g) = det(m) det(g): one
+    product per new element, each generator's determinant expanded once.
+    Raises RuntimeError once the closure has more than `cap` elements.
     """
     gens = tuple(gens)
     if not gens:
@@ -212,6 +223,8 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
     rows = list(CycMatrix.identity(n).rows)  # row id -> row
     ids = {r: i for i, r in enumerate(rows)}
     cols = [tuple(zip(*g.rows)) for g in gens]
+    full = tuple(range(n))
+    gen_dets = [_det(g.rows, full, full) for g in gens]
     tables = [{} for _ in gens]  # per generator: row id -> id of row * g
 
     def times(r, k):
@@ -225,48 +238,70 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
             table[r] = j
         return j
 
-    ident = tuple(range(n))
-    elements = {ident}
-    frontier = [ident]
+    dets = {full: cyc_one()}  # element as row ids -> its determinant
+    frontier = [full]
     while frontier:
         new = []
         for m in frontier:
-            for k in range(len(gens)):
+            for k, d in enumerate(gen_dets):
                 p = tuple(times(r, k) for r in m)
-                if p not in elements:
-                    elements.add(p)
+                if p not in dets:
+                    dets[p] = dets[m] * d
                     new.append(p)
-                    if len(elements) > cap:
+                    if len(dets) > cap:
                         raise RuntimeError("group closure exceeded cap %d" % cap)
         frontier = new
-    return MatrixGroup(elements=frozenset(
-        CycMatrix([rows[r] for r in m]) for m in elements))
+    return MatrixGroup({CycMatrix([rows[r] for r in m]): d for m, d in dets.items()})
 
 
 # -- Molien series -----------------------------------------------------------------
 
 # cap on classes x (degree + 1) x dimension, the products of the recurrence; at
-# the cap rank 1/2 (70 classes) reaches degree 4760 in about 4 s and 18 MB peak
-# RSS (2-vCPU VM, Python 3.11.7)
+# the cap rank 1/2 (70 classes) reaches degree 4760 in 4.0-4.5 s and 17.7 MB
+# peak RSS (2-vCPU VM, Python 3.11.7), almost all of it in the recurrence
 MOLIEN_BUDGET = 1_000_000
+
+
+def char_classes(group: MatrixGroup) -> dict:
+    """The elements of a finite matrix group by characteristic polynomial:
+    (e_1, ..., e_n) -> number of elements, e_k the k-th elementary symmetric
+    function of the eigenvalues.
+
+    Each element is keyed by (det, e_1, ..., e_{n//2}): its determinant as
+    the group carries it, e_1 the trace and the other e_k sums of principal
+    minors; each class then fills in its upper half once.  An element of finite order
+    has roots of unity for eigenvalues, so those of g^-1 are their complex
+    conjugates, sigma_-1 on Q(zeta_48), and
+    e_{n-k}(g) = det(g) e_k(g^-1) = det(g) sigma_-1(e_k(g)).
+    """
+    n = next(iter(group.dets)).n
+    keys = {}
+    for g, d in group.dets.items():
+        key = (d, g.trace()) + tuple(g.elementary_symmetric(k)
+                                     for k in range(2, n // 2 + 1))
+        keys[key] = keys.get(key, 0) + 1
+    classes = {}
+    for (d, *low), count in keys.items():
+        low = [cyc_one()] + low
+        classes[tuple(low[k] if 2 * k <= n else d * low[n - k].sigma(-1)
+                      for k in range(1, n + 1))] = count
+    return classes
 
 
 def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
     """Molien series (1/|G|) sum_g 1/det(1 - g t) to degree `maxdeg`.
 
     Returned as a QSeries with t^k stored at grid index 48k.  The elements
-    are grouped by characteristic polynomial; the classes' series 1/det(1 - g t)
-    advance in step, and each degree is one sum over the classes weighted by
-    their sizes.  Every coefficient must come out a nonnegative integer, as it
+    are grouped by characteristic polynomial (`char_classes`, which reads
+    the group's determinants); the classes' series 1/det(1 - g t) advance in
+    step, and each degree is one sum over the classes weighted by their
+    sizes.  Every coefficient must come out a nonnegative integer, as it
     does for a finite group: a nonreal sum raises ValueError, any other
     coefficient ArithmeticError.  A degree whose recurrence exceeds
     MOLIEN_BUDGET is refused before it runs.
     """
-    classes = {}
-    for g in group.elements:
-        n = g.n
-        cs = tuple(g.elementary_symmetric(k) for k in range(1, n + 1))
-        classes[cs] = classes.get(cs, 0) + 1
+    classes = char_classes(group)
+    n = len(next(iter(classes)))
     work = len(classes) * (maxdeg + 1) * n
     if work > MOLIEN_BUDGET:
         raise RuntimeError("molien to degree %d needs about %d products, over "

@@ -6,8 +6,9 @@ svoa.qseries.eta_quotient, and the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
 direct Lagrange-Buermann coefficient, the PLU group action behind
 svoa.invariants.poly_act's balanced split, and the whole-matrix
-breadth-first closure and per-class Molien sums behind svoa.modrep's
-closure on row orbits and once-per-degree fold.
+breadth-first closure, the per-element minors tally and the per-class
+Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
+by determinant and lower half, and its once-per-degree fold.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -201,10 +202,9 @@ def generate_group(gens):
     return elements
 
 
-def molien(elements, maxdeg):
-    """Molien coefficients t^0..t^maxdeg: per element the principal-minor
-    sums, per class of those 1/det(1 - g t) by its recurrence, summed and
-    averaged."""
+def char_classes(elements):
+    """The per-element minors tally: (e_1, ..., e_n) -> number of elements,
+    each e_k the sum of the element's principal k x k minors."""
     classes = {}
     for g in elements:
         n = len(g)
@@ -215,6 +215,13 @@ def molien(elements, maxdeg):
                 acc = acc + det([[g[i][j] for j in idx] for i in idx])
             cs.append(acc)
         classes[tuple(cs)] = classes.get(tuple(cs), 0) + 1
+    return classes
+
+
+def molien(elements, maxdeg):
+    """Molien coefficients t^0..t^maxdeg: per class of the minors tally
+    1/det(1 - g t) by its recurrence, summed and averaged."""
+    classes = char_classes(elements)
     total = [ZERO] * (maxdeg + 1)
     for cs, count in classes.items():
         n = len(cs)

@@ -227,6 +227,10 @@ def test_global_flags_after_subcommand(capsys):
     assert QSeries.from_json(json.loads(first)).trunc == 6 * 48
 
 
+# --constraints stand-ins for a path that does not exist and for a directory
+_MISSING, _DIRECTORY = object(), object()
+
+
 @pytest.mark.parametrize("env_order, argv", [
     (None, ["--order", "-5", "series", "j"]),
     (None, ["series", "j", "--order", "0"]),
@@ -263,6 +267,8 @@ def test_global_flags_after_subcommand(capsys):
     (None, ["series", "generic_module", "--rank", "1/2", "--weight", "1/7"]),
     (None, ["--order", "1", "series", "j", "--rank", "3", "--weight", "1/7"]),
     (None, ["series", "vacuum", "--rank", "4", "--weight", "1/7"]),
+    (None, ["monster-poly", "--constraints", _MISSING]),
+    (None, ["monster-poly", "--constraints", _DIRECTORY]),
 ])
 def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
                                           env_order, argv):
@@ -271,7 +277,10 @@ def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
     if "--constraints" in argv:
         i = argv.index("--constraints") + 1
         path = tmp_path / "constraints.json"
-        path.write_text(argv[i])
+        if argv[i] is _DIRECTORY:
+            path.mkdir()
+        elif argv[i] is not _MISSING:
+            path.write_text(argv[i])
         argv = argv[:i] + [str(path)] + argv[i + 1:]
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -93,6 +93,32 @@ def test_field_axioms_random():
             assert a * a.inv() == 1
 
 
+_UNITS = [k for k in range(1, 48) if gcd(k, 48) == 1]
+
+
+def test_galois_automorphisms_are_ring_maps():
+    rng = random.Random(4747)
+    for _ in range(20):
+        a, b = _random_element(rng), _random_element(rng)
+        for k in _UNITS + [-1]:
+            assert (a + b).sigma(k) == a.sigma(k) + b.sigma(k)
+            assert (a * b).sigma(k) == a.sigma(k) * b.sigma(k)
+        assert a.sigma(1) == a
+        assert a.sigma(-1).sigma(-1) == a
+        assert a.sigma(5).sigma(29) == a.sigma(5 * 29)
+
+
+def test_galois_conjugation():
+    for j in range(48):
+        assert zeta_pow(j).sigma(-1) == zeta_pow(-j) == zeta_pow(j).sigma(47)
+        assert zeta_pow(j).sigma(5) == zeta_pow(5 * j)
+    assert sqrt2().sigma(-1) == sqrt2()
+    assert sqrt2().sigma(5) == -sqrt2()
+    assert Cyclo.from_rational(Fraction(-3, 7)).sigma(13) == Fraction(-3, 7)
+    with pytest.raises(ValueError):
+        zeta_pow(1).sigma(2)
+
+
 def test_rational_subfield_stable():
     rng = random.Random(7)
     for _ in range(40):

@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 
 import old_routes
-from svoa.cyclo import sqrt2, zeta_pow
-from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, character_rep,
+from svoa.cyclo import cyc_one, sqrt2, zeta_pow
+from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, _det,
+                         _diag_matrix, _relations_hold, char_classes, character_rep,
                          generate_group, molien, quantum_dimensions, verlinde)
 from svoa.qseries import GRID
 
@@ -145,6 +146,22 @@ def test_matrix_inverse():
         CycMatrix([[1, 2], [2, 4]]).inv()
 
 
+def test_relations_take_five_products(monkeypatch):
+    count = [0]
+    mul = CycMatrix.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+    for c in (Fraction(1, 2), 1, 2):
+        T, S = character_rep(c)
+        count[0] = 0
+        assert _relations_hold(S, T)
+        assert count[0] == 5
+
+
 def test_broken_relations_are_arithmetic_errors():
     with pytest.raises(ArithmeticError, match="modular relations"):
         _check_relations(CycMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
@@ -176,20 +193,57 @@ def test_group_elements_match_triple_loop_closure(c):
     _assert_closure_matches([S, T], _ORDERS[c])
 
 
-@pytest.mark.parametrize("name", ["[T, S]", "[S, T, S*T]", "signed permutations",
-                                  "identity"])
-def test_other_generator_sets_match_triple_loop_closure(name):
+_OTHER_SETS = ["[T, S]", "[S, T, S*T]", "signed permutations", "identity",
+               "4x4 diagonal"]
+
+
+def _generators(case):
+    """(generators, group order) for a rank in _ORDERS or a name in _OTHER_SETS."""
+    if case not in _OTHER_SETS:
+        T, S = character_rep(case)
+        return [S, T], _ORDERS[case]
     T, S = character_rep(Fraction(1, 2))
     T1, S1 = character_rep(1)
-    gens, order = {
+    i = zeta_pow(12)
+    return {
         "[T, S]": ([T, S], 1152),
         "[S, T, S*T]": ([S1, T1, S1 * T1], 576),
         "signed permutations": ([CycMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
                                  CycMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
                                  CycMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])], 48),
         "identity": ([CycMatrix.identity(3)], 1),
-    }[name]
-    _assert_closure_matches(gens, order)
+        # diag(1, 1, -1, -1) and diag(i, -i, i, -i) share det 1 and trace 0
+        # but not e_2 (-2 against 2)
+        "4x4 diagonal": ([_diag_matrix([1, 1, -1, -1]), _diag_matrix([i, -i, i, -i])], 8),
+    }[case]
+
+
+@pytest.mark.parametrize("name", _OTHER_SETS)
+def test_other_generator_sets_match_triple_loop_closure(name):
+    _assert_closure_matches(*_generators(name))
+
+
+@pytest.mark.parametrize("case", list(_ORDERS) + _OTHER_SETS)
+def test_carried_determinants_match_cofactor_expansion(case):
+    gens, _ = _generators(case)
+    full = tuple(range(gens[0].n))
+    assert all(d == _det(g.rows, full, full) for g, d in generate_group(gens).dets.items())
+
+
+@pytest.mark.parametrize("case", list(_ORDERS) + _OTHER_SETS)
+def test_upper_coefficients_are_conjugates_of_lower(case):
+    # eigenvalues are roots of unity: e_{n-k} = det * sigma_-1(e_k)
+    for g, d in generate_group(_generators(case)[0]).dets.items():
+        e = [cyc_one()] + [g.elementary_symmetric(k) for k in range(1, g.n + 1)]
+        assert all(e[g.n - k] == d * e[k].sigma(-1) for k in range(g.n + 1))
+
+
+@pytest.mark.parametrize("case", list(_ORDERS) + _OTHER_SETS)
+def test_class_tally_matches_per_element_minors(case):
+    G = generate_group(_generators(case)[0])
+    oracle = old_routes.char_classes([old_routes.dense_matrix(g) for g in G.elements])
+    assert ({_coordinates([cs]): k for cs, k in char_classes(G).items()}
+            == {_coordinates([cs]): k for cs, k in oracle.items()})
 
 
 def test_group_rejects_mixed_dimensions():
@@ -204,7 +258,9 @@ def test_group_cap_bounds_infinite_closure():
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2), 1, 2])
+# every rank of _ORDERS; the first four lead, as their ids did before the rest
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2), 1, 2,
+                               Fraction(47, 2), 0, 4, 6, 3])
 def test_molien_matches_per_operation_route(c):
     T, S = character_rep(c)
     G = generate_group([S, T])
@@ -214,11 +270,12 @@ def test_molien_matches_per_operation_route(c):
 
 
 def test_molien_rejects_a_set_that_is_not_a_group():
-    signs = [CycMatrix.identity(3), CycMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-             CycMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])]
+    signs = {CycMatrix.identity(3): 1,
+             CycMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]): -1,
+             CycMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]): -1}
     # (1/3)(1/(1-t)^3 + 2/((1-t)^2 (1+t))) = 1 + 5/3 t + ...
     with pytest.raises(ArithmeticError, match="5/3 of t\\^1"):
-        molien(MatrixGroup(frozenset(signs)), 4)
+        molien(MatrixGroup(signs), 4)
 
 
 def test_minors_match_cofactor_route():
