@@ -4,10 +4,10 @@ polynomial of the moonshine module.
 
 The group action substitutes (a, b, c) -> g.(a, b, c).  g is balanced as
 diag(a) . R . diag(b), which takes the sqrt 2 of the rank-1/2 S out of its
-core R, and R goes through a PLU decomposition into variable permutations,
-diagonal rescalings and single shears x_s -> x_s + t*x_u (Taylor shifts),
-which keeps the blow-up per stage linear in the degree instead of
-expanding powers of full linear forms.
+core R, and R's elimination, applied step by step as it runs, splits it
+into variable swaps, diagonal rescalings and single shears
+x_s -> x_s + t*x_u (Taylor shifts), which keeps the blow-up per stage
+linear in the degree instead of expanding powers of full linear forms.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .cyclo import Cyclo, cyc_zero, dot, power
+from .cyclo import Cyclo, dot, power
 from .linalg import gauss_jordan
 from .qseries import GRID, QSeries, chi_ising_0, chi_ising_16, chi_ising_half
 
@@ -236,47 +236,40 @@ def poly_act(g, P: MultiPoly) -> MultiPoly:
 
     g is a CycMatrix of dimension 3; the substitution image of variable
     x_s is sum_t g[s][t] x_t.  With g = diag(a) . R . diag(b) (`_balance`),
-    P is rescaled by a, sent through R = P^-1 L U and rescaled by b.  For the
-    rank-1/2 S, a = (1, 1, sqrt 2), b = (1/2, 1/2, 1/sqrt 2) and R = [[1, 1,
-    1], [1, 1, -1], [1, -1, 0]]: the sqrt 2 stays out of R's shears, which
+    P is rescaled by a, sent through R and rescaled by b.  For the rank-1/2
+    S, a = (1, 1, sqrt 2), b = (1/2, 1/2, 1/sqrt 2) and R = [[1, 1, 1],
+    [1, 1, -1], [1, -1, 0]]: the sqrt 2 stays out of R's shears, which
     therefore run on ints once P's coefficients are rational after the
-    rescaling by a (p2, p3, p4).  U is applied row by row from the bottom,
-    by shears with its own entries and then a rescaling by its diagonal, so
-    no entry of U is divided.
+    rescaling by a (p2, p3, p4).  R is eliminated column by column with
+    partial pivoting, E R = U, and since R = E^-1 U and op_XY = op_Y . op_X,
+    each step's inverse is applied to P the moment it is found: a row swap
+    as the same swap of variables, a row operation r -= f col as the shear
+    x_r -> x_r + f x_col.  U is then applied row by row from the bottom, by
+    shears with its own entries and a rescaling by its diagonal, so no entry
+    of U is divided.
     """
     n = g.n
     if n != NVARS:
         raise ValueError("action needs a 3x3 matrix")
     scale_a, a, scale_b = _balance(g)
-    # P R = L U with partial pivoting; op_R = op_U . op_L . op_{P^-1}.  Not
-    # linalg.gauss_jordan: the multipliers themselves are the shears.
-    perm = list(range(n))
-    lower = [[cyc_zero() for _ in range(n)] for _ in range(n)]
+    out = _rescale(P, scale_a)
+    # Not linalg.gauss_jordan: the multipliers themselves are the shears.
     for col in range(n):
         piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if piv is None:
             raise ZeroDivisionError("singular substitution matrix")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            perm[col], perm[piv] = perm[piv], perm[col]
-            lower[col], lower[piv] = lower[piv], lower[col]
+            swap = list(range(n))
+            swap[col], swap[piv] = piv, col
+            out = _permute(out, swap)
         inv_p = a[col][col].inv()
         for r in range(col + 1, n):
             f = a[r][col] * inv_p
-            lower[r][col] = f
             if not f.is_zero():
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    # a now holds U; perm holds the row permutation pi with (P R)[r] = R[perm[r]]
-    # Apply op_{P^{-1}}: x_{perm[r]} -> x_r, i.e. substitution x_i -> x_{pos[i]}
-    pos = [0] * n
-    for r, p in enumerate(perm):
-        pos[p] = r
-    out = _permute(_rescale(P, scale_a), pos)
-    # op_L: unit lower triangular, shears ordered column-major
-    for col in range(n):
-        for row in range(col + 1, n):
-            out = _shear(out, row, col, lower[row][col])
-    # op_U: row r of U is x_r -> sum_c U_rc x_c, bottom row first
+                out = _shear(out, r, col, f)
+    # a now holds U; row r of U is x_r -> sum_c U_rc x_c, bottom row first
     for row in range(n - 1, -1, -1):
         for col in range(row + 1, n):
             out = _shear(out, row, col, a[row][col])

@@ -13,16 +13,16 @@ whole matrix products: each distinct row is multiplied by each generator
 once, and the closure itself runs on tuples of row ids, carrying each
 element's determinant as det(m g) = det(m) det(g).  Molien then sums
 1/det(1 - g t) over the classes of equal characteristic polynomial, keyed
-by the determinant and the lower half e_1..e_{n/2} of the coefficients;
-the upper half follows once per class, since the eigenvalues are roots of
-unity: e_{n-k} = det * conj(e_k).
+by the determinant and the power sums p_k = tr(g^k), k <= n/2.  Newton's
+identities turn those into the lower half e_1..e_{n/2} of the coefficients
+once per class, and the upper half follows since the eigenvalues are roots
+of unity: e_{n-k} = det * conj(e_k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
 from .linalg import gauss_jordan
@@ -65,22 +65,8 @@ class CycMatrix:
             return self.inv() ** (-k)
         return power(self, k) if k else CycMatrix.identity(self.n)
 
-    def transpose(self):
-        return CycMatrix([[self.rows[j][i] for j in range(self.n)]
-                          for i in range(self.n)])
-
     def trace(self):
         return dot((x[i], 1) for i, x in enumerate(self.rows))
-
-    def elementary_symmetric(self, k):
-        """k-th elementary symmetric function of the eigenvalues, i.e. the
-        sum of the principal k x k minors, as one sum of products."""
-        pos, neg = [], []
-        for idx in combinations(range(self.n), k):
-            p, q = _expansion(self.rows, idx, idx)
-            pos += p
-            neg += q
-        return dot(pos, neg)
 
     def is_identity(self):
         return self == CycMatrix.identity(self.n)
@@ -96,25 +82,6 @@ class CycMatrix:
     def __repr__(self):
         return "CycMatrix(%s)" % (
             "; ".join(", ".join(repr(x) for x in r) for r in self.rows))
-
-
-def _expansion(rows, ri, ci):
-    """Cofactor expansion of the minor rows[ri][ci] along its first row:
-    the (entry, minor determinant) pairs of positive and of negative sign.
-    Not linalg.gauss_jordan: division-free, and Molien's class keys take
-    principal minors of every group element."""
-    pairs = ([], [])
-    for j, c in enumerate(ci):
-        x = rows[ri[0]][c]
-        if x.terms:
-            pairs[j & 1].append((x, _det(rows, ri[1:], ci[:j] + ci[j + 1:])))
-    return pairs
-
-
-def _det(rows, ri, ci):
-    if len(ri) < 2:
-        return rows[ri[0]][ci[0]] if ri else cyc_one()
-    return dot(*_expansion(rows, ri, ci))
 
 
 # -- the character representation ---------------------------------------------
@@ -211,7 +178,8 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
     generator maps a row id to the id of row * g, one sum of products per
     entry.  The breadth-first closure then runs on n-tuples of row ids, where
     m * g costs n table lookups, and records det(m * g) = det(m) det(g): one
-    product per new element, each generator's determinant expanded once.
+    product per new element, each generator's determinant taken once from
+    linalg.gauss_jordan.
     Raises RuntimeError once the closure has more than `cap` elements.
     """
     gens = tuple(gens)
@@ -223,8 +191,7 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
     rows = list(CycMatrix.identity(n).rows)  # row id -> row
     ids = {r: i for i, r in enumerate(rows)}
     cols = [tuple(zip(*g.rows)) for g in gens]
-    full = tuple(range(n))
-    gen_dets = [_det(g.rows, full, full) for g in gens]
+    gen_dets = [Cyclo.coerce(gauss_jordan(g.rows)[0]) for g in gens]
     tables = [{} for _ in gens]  # per generator: row id -> id of row * g
 
     def times(r, k):
@@ -238,6 +205,7 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
             table[r] = j
         return j
 
+    full = tuple(range(n))  # the identity as row ids
     dets = {full: cyc_one()}  # element as row ids -> its determinant
     frontier = [full]
     while frontier:
@@ -267,23 +235,31 @@ def char_classes(group: MatrixGroup) -> dict:
     (e_1, ..., e_n) -> number of elements, e_k the k-th elementary symmetric
     function of the eigenvalues.
 
-    Each element is keyed by (det, e_1, ..., e_{n//2}): its determinant as
-    the group carries it, e_1 the trace and the other e_k sums of principal
-    minors; each class then fills in its upper half once.  An element of finite order
-    has roots of unity for eigenvalues, so those of g^-1 are their complex
-    conjugates, sigma_-1 on Q(zeta_48), and
-    e_{n-k}(g) = det(g) e_k(g^-1) = det(g) sigma_-1(e_k(g)).
+    Each element is keyed by (det, p_1, ..., p_{n//2}): its determinant as
+    the group carries it and the power sums p_k = tr(g^k) of its
+    eigenvalues, p_1 the trace and p_k one sum of products of the rows of
+    g^(k-1) with the columns of g (for n <= 5 no matrix product).  Each
+    class then takes e_1..e_{n//2} once by Newton's identities,
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i, and fills in its upper
+    half.  An element of finite order has roots of unity for eigenvalues,
+    so those of g^-1 are their complex conjugates, sigma_-1 on Q(zeta_48),
+    and e_{n-k}(g) = det(g) e_k(g^-1) = det(g) sigma_-1(e_k(g)).
     """
     n = next(iter(group.dets)).n
     keys = {}
     for g, d in group.dets.items():
-        key = (d, g.trace()) + tuple(g.elementary_symmetric(k)
-                                     for k in range(2, n // 2 + 1))
+        key = (d, g.trace()) + tuple(
+            dot((x, y) for r, c in zip((g ** (k - 1)).rows, zip(*g.rows))
+                for x, y in zip(r, c))
+            for k in range(2, n // 2 + 1))
         keys[key] = keys.get(key, 0) + 1
     classes = {}
-    for (d, *low), count in keys.items():
-        low = [cyc_one()] + low
-        classes[tuple(low[k] if 2 * k <= n else d * low[n - k].sigma(-1)
+    for (d, *p), count in keys.items():
+        e = [cyc_one()]
+        for k in range(1, len(p) + 1):
+            terms = [(e[k - i], p[i - 1]) for i in range(1, k + 1)]
+            e.append(dot(terms[::2], terms[1::2]) * Fraction(1, k))
+        classes[tuple(e[k] if 2 * k <= n else d * e[n - k].sigma(-1)
                       for k in range(1, n + 1))] = count
     return classes
 

@@ -202,19 +202,25 @@ def generate_group(gens):
     return elements
 
 
+def minors(g):
+    """(e_1, ..., e_n) of a Dense matrix, each e_k the sum of its principal
+    k x k cofactor determinants."""
+    n = len(g)
+    cs = []
+    for k in range(1, n + 1):
+        acc = ZERO
+        for idx in combinations(range(n), k):
+            acc = acc + det([[g[i][j] for j in idx] for i in idx])
+        cs.append(acc)
+    return tuple(cs)
+
+
 def char_classes(elements):
-    """The per-element minors tally: (e_1, ..., e_n) -> number of elements,
-    each e_k the sum of the element's principal k x k minors."""
+    """The per-element minors tally: (e_1, ..., e_n) -> number of elements."""
     classes = {}
     for g in elements:
-        n = len(g)
-        cs = []
-        for k in range(1, n + 1):
-            acc = ZERO
-            for idx in combinations(range(n), k):
-                acc = acc + det([[g[i][j] for j in idx] for i in idx])
-            cs.append(acc)
-        classes[tuple(cs)] = classes.get(tuple(cs), 0) + 1
+        cs = minors(g)
+        classes[cs] = classes.get(cs, 0) + 1
     return classes
 
 

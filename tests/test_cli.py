@@ -1,9 +1,11 @@
 """Command-line interface: output formats, exit codes, golden rows."""
 
+import hashlib
 import json
 import os
 import shlex
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +142,102 @@ def test_molien(capsys):
 def test_verlinde_text(capsys):
     code, out, _ = run(capsys, "verlinde", "--rank", "1/2")
     assert "M2 x M2 = M0 + M1" in out
+
+
+# sha256 of the `--format json` stdout, recorded from the route that keyed
+# Molien's classes by cofactor minors and expanded the generator determinants
+_MOLIEN_48_JSON = (  # ranks 0, 1, ..., 23
+    "043e024e6a60bd553111b5f08ca36d23a6c2e19110d88cf28ae434d02a795fb4",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "8121abc5caf37adda5565531e6d9ff362aa369f7eba35d86fff5ac3a0b33ef61",
+    "1da4eebb6bf10fd9f3d02c5be03aad5f5d568cdd58bf8c1c497d1c9bf23f888d",
+    "8a1f39d85406018dcf6913af24f7e6342450c15cbc6eabb82b24d9de2567a444",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "4e5933e0ed6450a5ed4f22a59f6c9565c40a5c73a01afb4a102d8d0f8d70f4ae",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "8a1f39d85406018dcf6913af24f7e6342450c15cbc6eabb82b24d9de2567a444",
+    "1da4eebb6bf10fd9f3d02c5be03aad5f5d568cdd58bf8c1c497d1c9bf23f888d",
+    "8121abc5caf37adda5565531e6d9ff362aa369f7eba35d86fff5ac3a0b33ef61",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "043e024e6a60bd553111b5f08ca36d23a6c2e19110d88cf28ae434d02a795fb4",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "8121abc5caf37adda5565531e6d9ff362aa369f7eba35d86fff5ac3a0b33ef61",
+    "1da4eebb6bf10fd9f3d02c5be03aad5f5d568cdd58bf8c1c497d1c9bf23f888d",
+    "8a1f39d85406018dcf6913af24f7e6342450c15cbc6eabb82b24d9de2567a444",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "4e5933e0ed6450a5ed4f22a59f6c9565c40a5c73a01afb4a102d8d0f8d70f4ae",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+    "8a1f39d85406018dcf6913af24f7e6342450c15cbc6eabb82b24d9de2567a444",
+    "1da4eebb6bf10fd9f3d02c5be03aad5f5d568cdd58bf8c1c497d1c9bf23f888d",
+    "8121abc5caf37adda5565531e6d9ff362aa369f7eba35d86fff5ac3a0b33ef61",
+    "1f7fd9b0b7bd44e831ef6c8ff713b07f3d1de435bfb3591cdac62bcb3bec33ed",
+)
+_VERLINDE_JSON = (  # ranks 0, 1/2, ..., 47/2
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+    "b29768807002385e6b6eb41b57254f13cd1cc63c218dc236051a93c5335a7df5",
+    "d3387c7863678cb8582bd314866eaef3cbb9126026b96c2e2f16ef1b96738fc1",
+)
+
+
+@pytest.mark.parametrize("c", range(24))
+def test_molien_json_matches_pinned_digest(capsys, c):
+    code, out, _ = run(capsys, "--format", "json", "molien", "--rank", str(c),
+                       "--deg", "48")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _MOLIEN_48_JSON[c]
+
+
+@pytest.mark.parametrize("h", range(48))
+def test_verlinde_json_matches_pinned_digest(capsys, h):
+    code, out, _ = run(capsys, "--format", "json", "verlinde", "--rank",
+                       str(Fraction(h, 2)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERLINDE_JSON[h]
 
 
 def test_theta_and_orbifold(capsys):

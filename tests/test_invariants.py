@@ -249,6 +249,23 @@ def test_poly_act_matches_plu_route_on_fraction_matrix():
         assert poly_act(g, p) == old_routes.poly_act_plu(g, p)
 
 
+@pytest.mark.parametrize("core", [
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],  # cyclic: swaps (0 2), then (1 2)
+    [[0, 0, 1], [1, 1, 0], [2, 3, 1]],  # swap, a shear, then another swap
+])
+def test_poly_act_matches_plu_route_when_both_columns_pivot(core):
+    # the elimination swaps rows at columns 0 and 1, so swaps and shears
+    # interleave as poly_act applies them
+    rng = random.Random(17)
+    diag = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+            for _ in range(3)]
+    g = CycMatrix([[x * d for x, d in zip(r, diag)] for r in core])
+    P = MultiPoly({(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)):
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)})
+    for p in basis_invariants() + (P,):
+        assert poly_act(g, p) == old_routes.poly_act_plu(g, p)
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 2, 3], [2, 4, 6], [0, 1, 1]],   # dependent rows, no zero row or column
     [[0, 0, 0], [1, 1, 0], [0, 1, 1]],   # zero row, no zero column
