@@ -2,6 +2,12 @@
 classification tables, the weight-enumerator solve, component characters,
 Molien series, fusion rings, lattice theta series and orbifold characters.
 
+`run` is check -> call -> render.  The parser and one block of checks
+reject bad input (exit 64) before any work; one library call computes the
+result; the renderer of its type returns the JSON object and a callable for
+the text lines, and one write prints the format asked for, so --format json
+builds no text.
+
 Exit codes: 0 success, 1 computation error, 64 usage error.
 """
 
@@ -104,12 +110,10 @@ def _build_parser() -> _Parser:
     s.add_argument("--rank", type=_rank, default=None)
     s.add_argument("--weight", type=_rational, default=None)
 
-    for cmd in ("extremal-voa", "extremal-svoa"):
-        e = sub.add_parser(cmd, help="extremal character and normal form")
-        e.add_argument("--rank", type=_rank, required=True)
-
-    sh = sub.add_parser("shadow", help="cusp-1 expansion of an extremal character")
-    sh.add_argument("--rank", type=_rank, required=True)
+    for cmd, text in (("extremal-voa", "extremal character and normal form"),
+                      ("extremal-svoa", "extremal character and normal form"),
+                      ("shadow", "cusp-1 expansion of an extremal character")):
+        sub.add_parser(cmd, help=text).add_argument("--rank", type=_rank, required=True)
 
     cl = sub.add_parser("classify", help="existence verdicts over a rank range")
     cl.add_argument("--from", dest="cfrom", type=_rank, required=True)
@@ -141,68 +145,87 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit_series(x: QSeries, fmt: str):
-    if fmt == "json":
-        print(json.dumps(x.to_json()))
-    else:
-        print(str(x))
+# -- renderers: each gives a result's JSON object and a callable for its text lines
 
 
-def _solution_lines(sol):
-    return ["rank %s  kind %s  k=%d" % (sol.c, sol.kind, sol.k),
-            "a = [%s]" % ", ".join(str(x) for x in sol.a),
-            "character = %s" % sol.series,
-            "A = {%s}" % ", ".join("%s: %s" % (n, v)
-                                   for n, v in sorted(sol.A.items()))]
+def _series(x: QSeries):
+    return x.to_json(), lambda: [str(x)]
 
 
-def _solution_json(sol):
-    return {"rank": str(sol.c), "kind": sol.kind, "k": sol.k,
-            "a": [str(x) for x in sol.a],
-            "series": sol.series.to_json(),
-            "A": {str(n): str(v) for n, v in sorted(sol.A.items())}}
+def _solution(sol):
+    return ({"rank": str(sol.c), "kind": sol.kind, "k": sol.k,
+             "a": [str(x) for x in sol.a], "series": sol.series.to_json(),
+             "A": {str(n): str(v) for n, v in sorted(sol.A.items())}},
+            lambda: ["rank %s  kind %s  k=%d" % (sol.c, sol.kind, sol.k),
+                     "a = [%s]" % ", ".join(str(x) for x in sol.a),
+                     "character = %s" % sol.series,
+                     "A = {%s}" % ", ".join("%s: %s" % (n, v)
+                                            for n, v in sorted(sol.A.items()))])
 
 
-def _shadow_json(rep):
-    return {"rank": str(rep.c), "s": rep.s, "B": rep.B.to_json(),
-            "first_coeff": str(rep.first_coeff),
-            "integral": rep.integral, "nonneg": rep.nonneg}
+def _shadow(rep):
+    return ({"rank": str(rep.c), "s": rep.s, "B": rep.B.to_json(),
+             "first_coeff": str(rep.first_coeff),
+             "integral": rep.integral, "nonneg": rep.nonneg},
+            lambda: ["rank %s  s=%d  B* = %s  integral=%s  nonneg=%s"
+                     % (rep.c, rep.s, rep.first_coeff, rep.integral, rep.nonneg),
+                     "B (relative to q^(-c/24)) = %s" % rep.B.shift(int(2 * rep.c))])
 
 
 def _verdict_line(v) -> str:
-    if v.status == "exists_known":
-        detail = v.name
-    elif v.status == "ruled_out":
-        detail = ",".join(sorted(v.arguments))
-    elif v.status == "conditional_L":
-        detail = "L"
-    else:
-        detail = "?"
-    head = ""
-    if v.shadow is not None:
-        head = "  ".join("%s q^%s" % (coef, exp) for exp, coef in v.shadow.head())
+    detail = {"exists_known": v.name, "ruled_out": ",".join(sorted(v.arguments)),
+              "conditional_L": "L"}.get(v.status, "?")
+    head = "  ".join("%s q^%s" % (coef, exp)
+                     for exp, coef in (v.shadow.head() if v.shadow is not None else ()))
     return "%-6s | %-13s | %-12s | %s" % (v.c, v.status, detail, head)
+
+
+def _verdicts(verdicts):
+    return ([v.to_json() for v in verdicts],
+            lambda: ["rank   | status        | detail       | shadow head", "-" * 72]
+            + [_verdict_line(v) for v in verdicts])
+
+
+def _enumerator(P):
+    return P.to_json(), lambda: ["%2d %2d %2d  %s" % (*ijk, P.terms[ijk])
+                                 for ijk in sorted(P.terms)]
+
+
+def _sectors(chars):
+    return ({str(l): x.to_json() for l, x in chars.items()},
+            lambda: ["sector %d: %s" % (l, x) for l, x in chars.items()])
+
+
+def _molien(order, rho):
+    return ({"order": order, "series": rho.to_json()},
+            lambda: ["group order %d" % order, "molien = %s" % " + ".join(
+                "%s t^%d" % (rho.coeff(GRID * k), k)
+                for k in range(rho.trunc // GRID) if rho.coeff(GRID * k))])
+
+
+def _fusion(F):
+    return ({"n": F.n, "N": [[list(r) for r in Ni] for Ni in F.N]},
+            lambda: ["M%d x M%d = %s" % (i, j, " + ".join(
+                "%s M%d" % (m, k) if m > 1 else "M%d" % k
+                for k, m in enumerate(F.N[i][j]) if m) or "0")
+                for i in range(F.n) for j in range(i, F.n)])
 
 
 def run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    fmt = args.format
-    cmd = args.command
-    trunc = args.order * GRID
-    if cmd == "series" and args.name == "vacuum" and args.rank is None:
-        parser.error("series vacuum needs --rank")
-    if cmd == "series" and args.rank is not None and args.name not in (
-            "vacuum", "generic_module"):
-        parser.error("series %s takes no --rank" % args.name)
-    if cmd == "series" and args.weight is not None and args.name != "generic_module":
-        parser.error("series %s takes no --weight" % args.name)
-    if cmd == "series" and args.name == "generic_module":
-        if args.rank is None or args.weight is None:
-            parser.error("series generic_module needs --rank and --weight")
-        if (args.weight * GRID - 2 * args.rank).denominator != 1:
-            parser.error("series generic_module needs -rank/24 + weight on the "
-                         "1/48 grid")
+    cmd, trunc = args.command, args.order * GRID
+    if cmd == "series":
+        takes = qseries.SERIES_PARAMS.get(args.name, ())
+        flags = {"c": ("--rank", args.rank), "h": ("--weight", args.weight)}
+        if any(flags[p][1] is None for p in takes):
+            parser.error("series %s needs %s"
+                         % (args.name, " and ".join(flags[p][0] for p in takes)))
+        for p, (flag, value) in flags.items():
+            if value is not None and p not in takes:
+                parser.error("series %s takes no %s" % (args.name, flag))
+        if args.weight is not None and (args.weight * GRID - 2 * args.rank).denominator != 1:
+            parser.error("series %s needs -rank/24 + weight on the 1/48 grid" % args.name)
     if cmd == "classify" and not 0 <= args.cfrom <= args.cto <= args.cmax:
         parser.error("classify needs 0 <= --from <= --to <= --max")
     if cmd == "molien" and args.deg < 0:
@@ -211,105 +234,44 @@ def run(argv) -> int:
         parser.error("orbifold needs a lattice whose dimension is a multiple of 8")
 
     if cmd == "series":
-        x = qseries.standard_series(args.name, trunc, c=args.rank,
-                                    h=args.weight)
-        _emit_series(x, fmt)
-
+        out = _series(qseries.standard_series(args.name, trunc, c=args.rank, h=args.weight))
     elif cmd in ("extremal-voa", "extremal-svoa"):
-        sol = getattr(extremal, cmd.replace("-", "_"))(args.rank)
-        if fmt == "json":
-            print(json.dumps(_solution_json(sol)))
-        else:
-            print("\n".join(_solution_lines(sol)))
-
+        out = _solution(getattr(extremal, cmd.replace("-", "_"))(args.rank))
     elif cmd == "shadow":
-        rep = extremal.shadow(extremal.extremal_svoa(args.rank))
-        if fmt == "json":
-            print(json.dumps(_shadow_json(rep)))
-        else:
-            print("rank %s  s=%d  B* = %s  integral=%s  nonneg=%s"
-                  % (rep.c, rep.s, rep.first_coeff, rep.integral, rep.nonneg))
-            print("B (relative to q^(-c/24)) = %s"
-                  % rep.B.shift(int(2 * rep.c)))
-
+        sol = extremal.extremal_svoa(args.rank)
+        out = _shadow(extremal.shadow(sol.c, sol.a, sol.series.trunc))
     elif cmd == "classify":
-        verdicts = extremal.classify_range(args.cfrom, args.cto, cmax=args.cmax)
-        if fmt == "json":
-            print(json.dumps([v.to_json() for v in verdicts]))
-        else:
-            print("rank   | status        | detail       | shadow head")
-            print("-" * 72)
-            for v in verdicts:
-                print(_verdict_line(v))
-
+        out = _verdicts(extremal.classify_range(args.cfrom, args.cto, cmax=args.cmax))
     elif cmd == "monster-poly":
-        if args.constraints:
-            P = invariants.solve_monster_polynomial(args.constraints,
-                                                    verify_published=False)
-        else:
-            P = invariants.monster_polynomial()
-        if fmt == "json":
-            print(json.dumps(P.to_json()))
-        else:
-            for i, j, k in sorted(P.terms):
-                print("%2d %2d %2d  %s" % (i, j, k, P.terms[(i, j, k)]))
-
+        out = _enumerator(invariants.solve_monster_polynomial(
+            args.constraints, verify_published=False) if args.constraints
+            else invariants.monster_polynomial())
     elif cmd == "baby":
-        sectors = (args.sector,) if args.sector is not None else (0, 1, 2)
-        out = {}
-        for l in sectors:
-            out[l] = babymonster.baby_character(l, trunc)
-        if fmt == "json":
-            print(json.dumps({str(l): x.to_json() for l, x in out.items()}))
-        else:
-            for l, x in out.items():
-                print("sector %d: %s" % (l, x))
-
+        sectors = (0, 1, 2) if args.sector is None else (args.sector,)
+        out = _sectors({l: babymonster.baby_character(l, trunc) for l in sectors})
     elif cmd == "molien":
         T, S = modrep.character_rep(args.rank)
         G = modrep.generate_group([S, T])
-        rho = modrep.molien(G, args.deg)
-        if fmt == "json":
-            print(json.dumps({"order": G.order, "series": rho.to_json()}))
-        else:
-            print("group order %d" % G.order)
-            print("molien = %s" % " + ".join(
-                "%s t^%d" % (rho.coeff(GRID * k), k)
-                for k in range(args.deg + 1) if rho.coeff(GRID * k)))
-
+        out = _molien(G.order, modrep.molien(G, args.deg))
     elif cmd == "verlinde":
-        T, S = modrep.character_rep(args.rank)
-        F = modrep.verlinde(S)
-        if fmt == "json":
-            print(json.dumps({"n": F.n, "N": [[list(r) for r in Ni] for Ni in F.N]}))
-        else:
-            for i in range(F.n):
-                for j in range(i, F.n):
-                    terms = ["%s M%d" % (m, k) if m > 1 else "M%d" % k
-                             for k, m in enumerate(F.N[i][j]) if m]
-                    print("M%d x M%d = %s" % (i, j, " + ".join(terms) or "0"))
-
+        out = _fusion(modrep.verlinde(modrep.character_rep(args.rank)[1]))
     elif cmd == "theta":
-        th = lattices.theta_series(args.lattice, trunc)
-        _emit_series(th, fmt)
-
-    elif cmd == "orbifold":
+        out = _series(lattices.theta_series(args.lattice, trunc))
+    else:  # orbifold
         L = args.lattice
-        th = lattices.theta_series(L, trunc)
-        x = extremal.orbifold_character(th, L.dim)
-        _emit_series(x.truncate(-2 * L.dim + trunc), fmt)
+        x = extremal.orbifold_character(lattices.theta_series(L, trunc), L.dim)
+        out = _series(x.truncate(-2 * L.dim + trunc))
 
+    obj, text = out
+    lines = [json.dumps(obj)] if args.format == "json" else text()
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        return run(argv)
-    except SystemExit:
-        raise
-    except (ValueError, ZeroDivisionError, RuntimeError, ArithmeticError,
-            OSError) as exc:
+        return run(argv)  # argparse reads sys.argv[1:] when argv is None
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -213,8 +213,9 @@ class ShadowReport:
         return [(Fraction(n, GRID), rel.coeffs[n]) for n in rel.support()[:nterms]]
 
 
-def shadow(sol: ExtremalSolution) -> ShadowReport:
-    """Re-expand the extremal character at the other cusp.
+def shadow(c, a, trunc) -> ShadowReport:
+    """Re-expand the rank-c SVOA character sum_r a_r x^(2c - 24r), r = 0..k
+    with k = floor(c/8), known below grid index trunc, at the other cusp.
 
     The result is the sum of the twisted-module characters for integral
     rank, and the single twisted character (the 1/sqrt(2) normalization
@@ -222,16 +223,19 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
     expansion with rational scales, so it is rational as built; the parity
     bookkeeping of the sqrt(2) powers is integer arithmetic.
     """
-    if sol.kind != SVOA:
-        raise ValueError("shadow applies to SVOA solutions")
-    c = sol.c
-    k = sol.k
+    c = Fraction(c)
+    if (2 * c).denominator != 1:
+        raise ExtremalError("rank %s is not half-integral" % c)
+    k = floor(c / 8)
+    if len(a) != k + 1:
+        raise ExtremalError("rank %s needs a_0 .. a_%d, got %d values" % (c, k, len(a)))
     top = int(2 * c)
-    rel = sol.series.trunc - sol.series.lead
-    w = cusp1_chi_half(rel + GRID)
+    if trunc <= -top:
+        raise ExtremalError("truncation %s is not past the lead %s" % (trunc, -top))
+    w = cusp1_chi_half(trunc + top + GRID)
     B = QSeries.zero(w.trunc)
     # m = 2c - 24r is odd exactly for c in Z+1/2, where m // 2 = (m - 1) // 2
-    for r, (ar, wm) in enumerate(zip(sol.a, _powers(w, top, 24, k))):
+    for r, (ar, wm) in enumerate(zip(a, _powers(w, top, 24, k))):
         m = top - 24 * r
         B = B + wm.scale(ar * (-1) ** r * Fraction(2) ** (m // 2))
     terms = [(Fraction(n, GRID) + c / 24, B.coeffs[n]) for n in B.support()]
@@ -278,7 +282,7 @@ def classify(c, cmax=56) -> Verdict:
     if c == 0:
         return Verdict(c=c, status="exists_known", name=E_NAMES[c])
     sol = extremal_svoa(c)
-    rep = shadow(sol)
+    rep = shadow(sol.c, sol.a, sol.series.trunc)
     if c in E_RANKS:
         return Verdict(c=c, status="exists_known", name=E_NAMES[c], shadow=rep)
     args = set()
@@ -302,8 +306,10 @@ def classify(c, cmax=56) -> Verdict:
 
 def classify_range(cfrom, cto, cmax=56):
     """Verdicts on the half-integer grid, ordered by rank."""
-    cfrom = Fraction(cfrom)
-    steps = floor(2 * (Fraction(cto) - cfrom))
+    cfrom, cto = Fraction(cfrom), Fraction(cto)
+    if cfrom > cto:
+        raise ExtremalError("empty rank range %s .. %s" % (cfrom, cto))
+    steps = floor(2 * (cto - cfrom))
     return [classify(cfrom + Fraction(n, 2), cmax=cmax) for n in range(steps + 1)]
 
 

@@ -1,7 +1,7 @@
 """Exact Gauss-Jordan elimination, shared by every exact solve in the
-package: the inverses of the modular S and T matrices and the determinants
-of the generators of their group closure over Q(zeta_48), and the degree-48
-enumerator constraints and basis rank over Q.
+package: the inverse of the modular S matrix (Verlinde fusion) and the
+determinants of the generators of the S/T group closure over Q(zeta_48),
+and the degree-48 enumerator constraints and basis rank over Q.
 
 Entries need only +, -, *, == 0 and Fraction(1) / x, so int, Fraction and
 Cyclo entries all work; ints are divided exactly, as Fractions.

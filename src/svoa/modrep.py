@@ -274,8 +274,11 @@ def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
     sizes.  Every coefficient must come out a nonnegative integer, as it
     does for a finite group: a nonreal sum raises ValueError, any other
     coefficient ArithmeticError.  A degree whose recurrence exceeds
-    MOLIEN_BUDGET is refused before it runs.
+    MOLIEN_BUDGET is refused before it runs, and a negative one raises
+    ValueError.
     """
+    if maxdeg < 0:
+        raise ValueError("molien needs maxdeg >= 0, got %d" % maxdeg)
     classes = char_classes(group)
     n = len(next(iter(classes)))
     work = len(classes) * (maxdeg + 1) * n

@@ -500,25 +500,29 @@ _CATALOG = {
     "chi_ising_half": chi_ising_half,
     "chi_ising_16": chi_ising_16,
     "cusp1_chi_half": cusp1_chi_half,
+    "vacuum": vacuum,
+    "generic_module": generic_module,
 }
+
+# the parameters each catalog series takes ahead of trunc: c the rank, h the
+# weight; a series not listed takes none
+SERIES_PARAMS = {"vacuum": ("c",), "generic_module": ("c", "h")}
 
 
 def standard_series(name, trunc=DEFAULT_TRUNC, c=None, h=None) -> QSeries:
-    """Catalog dispatch; `vacuum` takes c, `generic_module` takes c and h."""
+    """Catalog dispatch; the series must be given exactly the parameters
+    that SERIES_PARAMS lists for it."""
     key = name.replace("-", "_")
-    if key == "vacuum":
-        if c is None:
-            raise ValueError("vacuum needs a rank c")
-        return vacuum(c, trunc)
-    if key == "generic_module":
-        if c is None or h is None:
-            raise ValueError("generic_module needs rank c and weight h")
-        return generic_module(c, h, trunc)
     if key not in _CATALOG:
         raise ValueError("unknown standard series %r (have: %s)"
-                         % (name, ", ".join(sorted(_CATALOG) + ["vacuum", "generic_module"])))
-    return _CATALOG[key](trunc).truncate(trunc)
+                         % (name, ", ".join(standard_names())))
+    takes = SERIES_PARAMS.get(key, ())
+    given = {p: v for p, v in (("c", c), ("h", h)) if v is not None}
+    if tuple(given) != takes:
+        raise ValueError("%s takes %s, not %s" % (
+            key, " and ".join(takes) or "no parameters", " and ".join(given) or "none"))
+    return _CATALOG[key](*given.values(), trunc).truncate(trunc)
 
 
 def standard_names():
-    return sorted(_CATALOG) + ["vacuum", "generic_module"]
+    return sorted(n for n in _CATALOG if n not in SERIES_PARAMS) + list(SERIES_PARAMS)

@@ -29,6 +29,11 @@ def _svoa(c):
     return _SOL_CACHE[c]
 
 
+def _shadow(c):
+    sol = _svoa(c)
+    return shadow(sol.c, sol.a, sol.series.trunc)
+
+
 def criterion(num, desc):
     def deco(fn):
         def wrapper():
@@ -210,7 +215,7 @@ def test_criterion_08_extremal_svoa():
         assert got == line1, ("line1", c, got)
         if line2 is None:
             continue
-        rep = shadow(sol)
+        rep = _shadow(c)
         # the table prints the single twisted-module character: for
         # integral rank that is half of the two-module sum
         div = 2 if c.denominator == 1 else 1
@@ -328,7 +333,7 @@ def test_criterion_09_shadow_tables():
         base = int(-2 * c)
         got = [sol.series.coeff(base + 24 * n) for n in range(len(line1))]
         assert got == line1, ("line1", c)
-        rep = shadow(sol)
+        rep = _shadow(c)
         for e, v in line2:
             assert rep.B.coeff(base + int(e * GRID)) == v, ("line2", c, e)
         verdict = classify(c)
@@ -339,7 +344,7 @@ def test_criterion_09_shadow_tables():
             assert verdict.arguments == frozenset(letters), c
     assert len(TABLE_55) == 47
     for c, bstar in TABLE_55.items():
-        rep = shadow(_svoa(c))
+        rep = _shadow(c)
         assert rep.first_coeff == bstar, c
         assert not rep.integral, c
 
@@ -443,7 +448,7 @@ def test_criterion_14_properties():
     for c in sorted(E_RANKS):
         if c == 0:
             continue
-        rep = shadow(_svoa(c))
+        rep = _shadow(c)
         assert rep.integral and rep.nonneg, c
     # negative tail coefficients for ranks 48..56
     c = F(48)

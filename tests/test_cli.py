@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shlex
+import sys
 import time
 from fractions import Fraction
 
@@ -329,7 +330,7 @@ def test_global_flags_after_subcommand(capsys):
 _MISSING, _DIRECTORY = object(), object()
 
 
-@pytest.mark.parametrize("env_order, argv", [
+_USAGE_ERRORS = [
     (None, ["--order", "-5", "series", "j"]),
     (None, ["series", "j", "--order", "0"]),
     ("abc", ["series", "j"]),
@@ -367,9 +368,12 @@ _MISSING, _DIRECTORY = object(), object()
     (None, ["series", "vacuum", "--rank", "4", "--weight", "1/7"]),
     (None, ["monster-poly", "--constraints", _MISSING]),
     (None, ["monster-poly", "--constraints", _DIRECTORY]),
-])
-def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
-                                          env_order, argv):
+]
+
+
+def _usage_error(capsys, monkeypatch, tmp_path, env_order, argv):
+    """Run one usage-error case; return its exit code, stdout and stderr,
+    with the temporary directory in stderr written as <tmp>."""
     if env_order is not None:
         monkeypatch.setenv("SVOA_ORDER", env_order)
     if "--constraints" in argv:
@@ -383,4 +387,138 @@ def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out = capsys.readouterr()
-    assert exc.value.code == 64 and out.out == "" and out.err.count("error:") == 1
+    return exc.value.code, out.out, out.err.replace(str(tmp_path), "<tmp>")
+
+
+@pytest.mark.parametrize("env_order, argv", _USAGE_ERRORS)
+def test_usage_errors_exit_64_before_work(capsys, monkeypatch, tmp_path,
+                                          env_order, argv):
+    code, out, err = _usage_error(capsys, monkeypatch, tmp_path, env_order, argv)
+    assert code == 64 and out == "" and err.count("error:") == 1
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Golden pins, recorded from the CLI whose `run` printed each command's result
+# in its own branch, with SVOA_ORDER unset and COLUMNS=80 (the width argparse
+# wraps usage lines to).  Per README example: the sha256 of stdout with
+# --format text appended, then with --format json appended.
+_README_PINS = (
+    ("svoa series j --order 6",
+     "27268f02c18d885522582557d31314d2802021f5ce0ce7d1d03f525ddf077ef7",
+     "e094a0dfc50ef4f6e8c7dfb4109531c5a1f0170db19b33ee02482ee66ec0814e"),
+    ("svoa series vacuum --rank 24",
+     "1de2c0e7fe22702747287d9b0066e04bb6d8784ab9c383b2fae3393d8a1932ff",
+     "6432dbbbf4b36b3dbc34dbab8e25838e201cddf385670b343e650d57975630a5"),
+    ("svoa extremal-voa --rank 24",
+     "6f89c6bd013892c9c7306ba4b456814bde19122319b8289b9d59a46c6257516e",
+     "ac560013f534b9ec90b974a4ad7a218c15df5bd00663873bf4727bfee756a809"),
+    ("svoa extremal-svoa --rank 47/2 --format json",
+     "f72c90ce755af078739ede5a6510f7981ec1ba72682e51052d2c694b4910eb61",
+     "f3326ae74b93a0cdfaa18d30687204a6b1b8904a166e526bf146a9993e16a7f3"),
+    ("svoa shadow --rank 16",
+     "719cbc673fa1dc2ce40a0420970ae2eea7b96c4afc85a618395cf6de8b2351f9",
+     "2987d289cb61a84897b4275abf5b4660f4862511581ac4f0da46f1a75ddd38c6"),
+    ("svoa classify --from 8 --to 24",
+     "57be545f68d1d628eaed7877b31dd534c4deae49c63b88be03cb55b6f9bae1ed",
+     "b2e8305b1c254f1ee7f792e798e4fb6c7b070fea035ee56ef160189f01b8ab5c"),
+    ("svoa monster-poly --format json",
+     "faafff2aec696cc4787bfa60bca695aa07f1c2a3a50ccaf1daf2ce83027d83ba",
+     "658acf66505f9cc80af78a6a7fcb549856a213df5fe826575f20950238fdbd65"),
+    ("svoa baby --sector 1 --order 6",
+     "6d00a4f6488361f4788eba2d05bb42b15ca7f408806156192e09fd00d2dda2e9",
+     "c2a623126445c592225e36c9a2e82240fe7d50122d831059606daf68f5433051"),
+    ("svoa molien --rank 1/2 --deg 48",
+     "3f6e025dcbc61088a79a05706e18fee0c11120065ee824d5388bc7e7cd1b4258",
+     "10965ac36216801f1d1bf74737b27d5d9d39dbe8c91d5c3e5dcbdea09a757e01"),
+    ("svoa verlinde --rank 2",
+     "c37027d3fe2270d205013b64d70c87619fc29a8ee8f63dfa6a7ccc3c0c049206",
+     "58d1eb1e35a0363aec926090977f6e2cbef30afec83a8278d34b9c0d8a900e40"),
+    ("svoa theta --lattice A15+ --order 4",
+     "c0a67fa313b911ed2946fdb62d8b1ccc31a28ca4103bfb9d44df1179e01ed210",
+     "a558ac9e1a70c8b60038b012763632f0bfc1d08db91871ceaf6894fe1e1d2194"),
+    ("svoa orbifold --lattice Leech --order 5",
+     "3341e522bd3113dd1b561b651575be9a6e51e60bf9213218c2a8814d06b52873",
+     "8a20eff02eb7e91f78d1973461fe80bb19807808e2ca657e38357c0959890c76"),
+)
+# per _USAGE_ERRORS case, in its order: the sha256 of stderr, with <tmp>
+# standing for the temporary directory; every case exits 64, stdout empty
+_USAGE_ERROR_STDERR = (
+    "51f4bfa4df42bb2f6468ae180b7a9afd54d098f5300f3a0b4272d7840f891f64",
+    "ba02a2949d73a0fdb511ffc3e6133b8b49ccd5138582d1162f60e038ec8bc9c1",
+    "45e7ae011594fb1b46c86dd1ac396552e5ace5e0c5c3b7b0952983ca60b8cc75",
+    "4f7d61e8a449732fb0d97a99d2d07d622e3e85e9e4e19128181676f988ae2442",
+    "f06b50ce009935700771cf1a3448204dffa345cdffdf9d4009196529e805e0ce",
+    "f06b50ce009935700771cf1a3448204dffa345cdffdf9d4009196529e805e0ce",
+    "f06b50ce009935700771cf1a3448204dffa345cdffdf9d4009196529e805e0ce",
+    "1c611ce2de63f02491366de9b5c986ec2feb1ac1352df6fce64d77d462a72ca4",
+    "1910c9abb1a93372f15e16723b2f7da1b43abc7e8c5030c99d594dd777062388",
+    "f11ee84026f7aa95933b1deb4dcc5d90973cea45cd29caa385b3693060118db9",
+    "7890f8c7a1c637353d63c29808d9551f25076c9e1ce68d96f5300a9a5bdcc8a6",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "df3c1a45e15c8f61e31edc63ff8526cfc68a73b37e170a3622b06f12ae4c23a2",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "f4e12375ac21a0633b1d0759186390b7faafae44e5139009f1c5b8c420bbb8dd",
+    "a516612083afb2c32b0da5826f2029676aea7b616d0d8befaa4360df5d666556",
+    "a516612083afb2c32b0da5826f2029676aea7b616d0d8befaa4360df5d666556",
+    "9b44423f0853a8618762dd0cb5dfbf2cff7916f9f5873839f0f26f7180757a14",
+    "da90ad16e5d72d164a39aceb254d9e35ea6a6cf1f2c6c80565c0b850e70e9224",
+    "8af129f03340060b77123dd4ee1dce1e48657e95e4b313429cc20619190b9525",
+    "354e65531e532c89412904c50b955c958a47f2aee01471247e1a47a704c530f6",
+    "354e65531e532c89412904c50b955c958a47f2aee01471247e1a47a704c530f6",
+    "c402da9d46fe870acdf1b6866ec53aab68e1f154bc7437aefeeac16928e11f8c",
+    "d0879b235e407a01dd34c9046a98b7c83e5bf68ed457e1d683980b479b72696e",
+    "70679a3abbe07b65880df71e1aeae25461d47fbc8e0cbd01842d13e22b795840",
+    "70679a3abbe07b65880df71e1aeae25461d47fbc8e0cbd01842d13e22b795840",
+    "bd0bbfc4a06679c7d284618f455acb2f5d9d7e0f113bb54549f125a65f7048ef",
+    "88ed7414d08b68a12a2fdb7474f6584eabe8b05aff5be76bd4329f650a07558b",
+    "b010635e63a864cf2b540d6ca9b9cade99c4be48655d6f21b1d4898f201b1427",
+    "a91da788386932a26b21c86738423f36bf397d3bdb59e4991a5788dc915a8fac",
+    "8aeb36fa92ddc4e46b65c5fde1eb813ba0ba3fca5135e9585f2e784eece1bcde",
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_readme_examples_match_golden_stdout(capsys, monkeypatch, fmt):
+    monkeypatch.delenv("SVOA_ORDER", raising=False)
+    assert [line for line, _, _ in _README_PINS] == [
+        " ".join(["svoa"] + argv) for argv in _readme_examples()]
+    for line, text_pin, json_pin in _README_PINS:
+        code, out, err = run(capsys, *shlex.split(line)[1:], "--format", fmt)
+        pin = text_pin if fmt == "text" else json_pin
+        assert (code, err, _sha(out)) == (0, "", pin), line
+
+
+@pytest.mark.parametrize("i", range(len(_USAGE_ERRORS)))
+def test_usage_errors_match_golden_output(capsys, monkeypatch, tmp_path, i):
+    assert len(_USAGE_ERROR_STDERR) == len(_USAGE_ERRORS)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("SVOA_ORDER", raising=False)
+    code, out, err = _usage_error(capsys, monkeypatch, tmp_path, *_USAGE_ERRORS[i])
+    assert (code, out) == (64, "")
+    # argparse's own wording (the usage line, the list after "invalid
+    # choice") changes between Python releases; the pins are CPython 3.11's
+    if sys.version_info[:2] == (3, 11):
+        assert _sha(err) == _USAGE_ERROR_STDERR[i], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--order", "4", "series", "j"],
+    ["--order", "2", "theta", "--lattice", "E8"],
+    ["--order", "2", "orbifold", "--lattice", "E8"],
+    ["--order", "2", "baby"],
+    ["extremal-svoa", "--rank", "12"],
+])
+def test_json_builds_no_series_text(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("QSeries.__str__ called under --format json")
+    monkeypatch.setattr(QSeries, "__str__", refuse)
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 0 and not err and json.loads(out)

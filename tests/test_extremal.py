@@ -16,6 +16,10 @@ from svoa.lattices import lattice_catalog, theta_series
 from svoa.qseries import GRID, QSeries, E4, delta, j_function, vacuum
 
 
+def shadow_of(sol):
+    return shadow(sol.c, sol.a, sol.series.trunc)
+
+
 def series_rel(sol, offsets):
     base = int(-2 * sol.c)
     return [sol.series.coeff(base + o) for o in offsets]
@@ -148,32 +152,50 @@ def test_decompose_rejects_non_characters():
 
 def test_shadow_values():
     # existence rank: stored expansion is twice the displayed module character
-    rep12 = shadow(extremal_svoa(12))
+    rep12 = shadow_of(extremal_svoa(12))
     assert rep12.head() == [(F(1, 2), 24), (F(3, 2), 4096), (F(5, 2), 98304)]
     assert rep12.integral and rep12.nonneg
     # half-integral rank: the 1/sqrt(2)-normalized character itself
-    rep = shadow(extremal_svoa(F(17, 2)))
+    rep = shadow_of(extremal_svoa(F(17, 2)))
     assert rep.head(2) == [(F(1, 16), F(17, 16)), (F(17, 16), F(3977, 16))]
     assert not rep.integral and rep.nonneg
     # integral rank beyond the existence range
-    rep16 = shadow(extremal_svoa(16))
+    rep16 = shadow_of(extremal_svoa(16))
     assert rep16.head(2) == [(F(0), F(-15, 16)), (F(1), 527)]
     assert not rep16.integral and not rep16.nonneg
-    rep20 = shadow(extremal_svoa(20))
+    rep20 = shadow_of(extremal_svoa(20))
     assert rep20.head(2) == [(F(1, 2), F(-35, 4)), (F(3, 2), 10310)]
 
 
 def test_shadow_first_coeff_convention():
-    assert shadow(extremal_svoa(F(49, 2))).first_coeff == F(1911, 2048)
-    assert shadow(extremal_svoa(26)).first_coeff == F(377, 128)
-    assert shadow(extremal_svoa(16)).first_coeff == F(-15, 16)
+    assert shadow_of(extremal_svoa(F(49, 2))).first_coeff == F(1911, 2048)
+    assert shadow_of(extremal_svoa(26)).first_coeff == F(377, 128)
+    assert shadow_of(extremal_svoa(16)).first_coeff == F(-15, 16)
+
+
+def test_shadow_reads_rank_coefficients_and_truncation():
+    # no solve needed: the extremal rank-12 coefficients a = [1, -24] alone
+    sol = extremal_svoa(12)
+    assert sol.a == [1, -24]
+    assert shadow(12, [1, -24], sol.series.trunc).B == shadow_of(sol).B
+
+
+@pytest.mark.parametrize("c, a, trunc", [
+    (F(1, 3), [1], 48),                # rank off the half-integer grid
+    (F(12), [1], 48),                  # k = 1 needs a_0 and a_1
+    (F(12), [1, -24, 0], 48),
+    (F(12), [1, -24], -24),            # truncation at the lead
+])
+def test_shadow_rejects_inconsistent_inputs(c, a, trunc):
+    with pytest.raises(ExtremalError):
+        shadow(c, a, trunc)
 
 
 def test_existence_shadows_clean():
     for c in sorted(E_RANKS):
         if c == 0:
             continue
-        rep = shadow(extremal_svoa(c))
+        rep = shadow_of(extremal_svoa(c))
         assert rep.integral and rep.nonneg, c
 
 
@@ -204,7 +226,7 @@ def test_svoa_routes_match_oracle():
     for c in (F(n, 2) for n in range(1, 201)):
         sol = extremal_svoa(c)
         same_solution(sol, old_routes.extremal_svoa(c))
-        new, old = shadow(sol), old_routes.shadow(sol)
+        new, old = shadow_of(sol), old_routes.shadow(sol)
         assert same_series(new.B, old.B)
         assert (new.c, new.s, new.first_coeff, new.integral, new.nonneg,
                 new.first_negative, new.first_non_integral) == \
@@ -285,6 +307,11 @@ def test_classify_range_ordering():
     vs = classify_range(8, 10)
     assert [v.c for v in vs] == [F(8), F(17, 2), F(9), F(19, 2), F(10)]
     assert vs[0].to_json()["status"] == "exists_known"
+
+
+def test_classify_range_rejects_empty_range():
+    with pytest.raises(ExtremalError):
+        classify_range(3, 1)
 
 
 # -- highest-weight enumeration --------------------------------------------------------

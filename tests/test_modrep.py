@@ -73,6 +73,12 @@ def test_molien_trivial_group():
     assert [rho.coeff(GRID * k) for k in range(5)] == [1, 3, 6, 10, 15]
 
 
+def test_molien_rejects_negative_degree():
+    triv = generate_group([CycMatrix.identity(3)])
+    with pytest.raises(ValueError):
+        molien(triv, -1)
+
+
 def test_molien_character_group():
     T, S = character_rep(Fraction(1, 2))
     G = generate_group([S, T])

@@ -81,10 +81,24 @@ def test_vacuum_and_generic_module():
 def test_standard_series_dispatch():
     assert qs.standard_series("j", T).agrees_with(qs.j_function(T))
     assert qs.standard_series("vacuum", T, c=24).agrees_with(qs.vacuum(24, T))
+    assert qs.standard_series("generic_module", T, c=24, h=2).agrees_with(
+        qs.generic_module(24, 2, T))
     with pytest.raises(ValueError):
         qs.standard_series("nonsense", T)
     with pytest.raises(ValueError):
         qs.standard_series("vacuum", T)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("j", {"c": 3}),
+    ("j", {"h": Fraction(1, 7)}),
+    ("vacuum", {"c": 24, "h": 2}),
+    ("generic_module", {"c": 24}),
+    ("generic_module", {"h": 2}),
+])
+def test_standard_series_takes_exactly_its_parameters(name, params):
+    with pytest.raises(ValueError):
+        qs.standard_series(name, T, **params)
 
 
 # -- ring operations -----------------------------------------------------------
