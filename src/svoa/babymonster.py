@@ -45,8 +45,7 @@ def baby_character(sector: int, trunc=DEFAULT_TRUNC) -> QSeries:
     P = monster_polynomial()
     w = marginal_polynomial(P, sector)
     x = evaluate_at_characters(w, trunc).scale(Fraction(1, 48))
-    for n in x.support():
-        c = x.coeff(n)
+    for n, c in x.coeffs.items():
         if Fraction(c).denominator != 1:
             raise ArithmeticError("non-integer coefficient %s at index %d: "
                                   "upstream enumerator is inconsistent" % (c, n))

@@ -199,8 +199,7 @@ def _sectors(chars):
 def _molien(order, rho):
     return ({"order": order, "series": rho.to_json()},
             lambda: ["group order %d" % order, "molien = %s" % " + ".join(
-                "%s t^%d" % (rho.coeff(GRID * k), k)
-                for k in range(rho.trunc // GRID) if rho.coeff(GRID * k))])
+                "%s t^%d" % (c, n // GRID) for n, c in rho.coeffs.items())])
 
 
 def _fusion(F):

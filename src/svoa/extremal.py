@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import floor
 
 from .qseries import (GRID, HALF_STEPS_MINUS, HALF_STEPS_PLUS, ONE_PLUS_QN,
-                      QSeries, _norm_coeff, cbrt_j, chi_half, cusp1_chi_half,
-                      eta_quotient, euler_product, j_function, j_theta,
-                      vacuum)
+                      QSeries, _norm_coeff, cbrt_j, check_work, chi_half,
+                      cusp1_chi_half, eta_quotient, euler_product, j_function,
+                      j_theta, vacuum)
 
 VOA = "VOA"
 SVOA = "SVOA"
@@ -210,7 +210,7 @@ class ShadowReport:
     def head(self, nterms=3):
         """First terms as (exponent relative to q^(-c/24), coefficient)."""
         rel = self.B.shift(int(2 * self.c))
-        return [(Fraction(n, GRID), rel.coeffs[n]) for n in rel.support()[:nterms]]
+        return [(Fraction(n, GRID), v) for n, v in list(rel.coeffs.items())[:nterms]]
 
 
 def shadow(c, a, trunc) -> ShadowReport:
@@ -238,7 +238,7 @@ def shadow(c, a, trunc) -> ShadowReport:
     for r, (ar, wm) in enumerate(zip(a, _powers(w, top, 24, k))):
         m = top - 24 * r
         B = B + wm.scale(ar * (-1) ** r * Fraction(2) ** (m // 2))
-    terms = [(Fraction(n, GRID) + c / 24, B.coeffs[n]) for n in B.support()]
+    terms = [(Fraction(n, GRID) + c / 24, v) for n, v in B.coeffs.items()]
     neg = next((t for t in terms if t[1] < 0), None)
     non_int = next((t for t in terms if Fraction(t[1]).denominator != 1), None)
     first = Fraction(B.lead_coeff) if not B.is_zero() else Fraction(0)
@@ -335,13 +335,10 @@ def hw_enumerator(x: QSeries, c) -> HighestWeightEnum:
     series = (shifted - vacuum(c, x.trunc).shift(-lead)) * euler_product(t_rel)
     P = {Fraction(0): 1}
     mu = None
-    for n in series.support():
+    for n, v in series.coeffs.items():
         if n <= 0:
-            if series.coeff(n) != 0:
-                raise ValueError("negative-weight highest-weight vector: "
-                                 "not a character of rank %s" % c)
-            continue
-        v = series.coeff(n)
+            raise ValueError("negative-weight highest-weight vector: "
+                             "not a character of rank %s" % c)
         if v < 0 or Fraction(v).denominator != 1:
             raise ValueError("invalid multiplicity %s at weight %s"
                              % (v, Fraction(n, GRID)))
@@ -357,7 +354,7 @@ def hw_enumerator(x: QSeries, c) -> HighestWeightEnum:
 
 def orbifold_character(theta: QSeries, c) -> QSeries:
     """Character of the involution orbifold of a lattice theory with theta
-    series `theta` and rank c in 8Z."""
+    series `theta` and rank c in 8Z; RuntimeError past SERIES_BUDGET."""
     c = Fraction(c)
     if c % 8 != 0:
         raise ValueError("orbifold rank must be a multiple of 8")
@@ -365,6 +362,7 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
         raise ValueError("theta series must start with 1")
     cc = int(c)
     t = theta.trunc
+    check_work(70, t + 2 * cc)  # four eta quotients and their powers: 70 measured
     eul, one_plus, half_minus, half_plus = (
         eta_quotient(exps, t + 2 * cc) for exps in
         (((GRID, 1),), ONE_PLUS_QN, HALF_STEPS_MINUS, HALF_STEPS_PLUS))

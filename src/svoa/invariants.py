@@ -17,18 +17,17 @@ from math import comb
 
 from .cyclo import Cyclo, dot, power
 from .linalg import gauss_jordan
-from .qseries import GRID, QSeries, chi_ising_0, chi_ising_16, chi_ising_half
+from .qseries import (GRID, QSeries, _norm_coeff, check_work, chi_ising_0, chi_ising_16,
+                      chi_ising_half)
 
 NVARS = 3
 
 
-def _norm_coeff(c):
+def _norm_cyclo(c):
     """A rational Cyclo as int or Fraction, an integral Fraction as int."""
     if isinstance(c, Cyclo) and c.is_rational():
         c = c.rational()
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+    return _norm_coeff(c)
 
 
 class MultiPoly:
@@ -39,7 +38,7 @@ class MultiPoly:
     def __init__(self, terms):
         self.terms = {}
         for mono, c in terms.items():
-            c = _norm_coeff(c)
+            c = _norm_cyclo(c)
             if c != 0:
                 self.terms[mono] = c
 
@@ -149,7 +148,7 @@ def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
     sums are plain int or Fraction sums; a Cyclo anywhere sends them to
     `dot`.
     """
-    lam = _norm_coeff(lam)
+    lam = _norm_cyclo(lam)
     if lam == 0:
         return P
     rational = not isinstance(lam, Cyclo) and not any(
@@ -166,7 +165,7 @@ def _shear(P: MultiPoly, s: int, t: int, lam) -> MultiPoly:
     for key, line in lines.items():
         for e, _ in line:
             while len(powers) <= e:
-                powers.append(_norm_coeff(powers[-1] * lam))
+                powers.append(_norm_cyclo(powers[-1] * lam))
             if e not in table:
                 table[e] = [comb(e, a) * powers[e - a] for a in range(e + 1)]
         for a in range(max(e for e, _ in line) + 1):
@@ -189,7 +188,7 @@ def _rescale(P: MultiPoly, scales) -> MultiPoly:
     for s in scales:
         col = [1]
         for _ in range(maxdeg):
-            col.append(_norm_coeff(col[-1] * s))
+            col.append(_norm_cyclo(col[-1] * s))
         pows.append(col)
     out = {}
     for mono, c in P.terms.items():
@@ -459,13 +458,14 @@ def monster_polynomial() -> MultiPoly:
 
 def evaluate_at_characters(P: MultiPoly, trunc) -> QSeries:
     """Substitute a, b, c by the weight-0, 1/2, 1/16 characters of the
-    rank-1/2 minimal model."""
+    rank-1/2 minimal model; RuntimeError past qseries.SERIES_BUDGET."""
     imax = max((m[0] for m in P.terms), default=0)
     jmax = max((m[1] for m in P.terms), default=0)
     kmax = max((m[2] for m in P.terms), default=0)
     deg = P.degree()
     # working precision: every character starts at q^(-1/48)
     t = trunc + deg + GRID
+    check_work(imax + jmax + kmax + 2 * len(P.terms), t)
     chars = (chi_ising_0(t), chi_ising_half(t), chi_ising_16(t))
     pows = []
     for x, emax in zip(chars, (imax, jmax, kmax)):

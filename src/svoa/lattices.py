@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .qseries import GRID, QSeries, E4, delta, eta
+from .qseries import GRID, QSeries, E4, check_work, delta, eta
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -172,12 +172,13 @@ def theta_series(L: Lattice, trunc=None, budget=THETA_BUDGET) -> QSeries:
     q^5) coset by coset; `budget` caps the (state x term) products of the
     count, every block's bounded before the first coordinate of any, beyond
     which EnumerationBudgetError is raised.  The Leech entry
-    dispatches to its closed form.
+    dispatches to its closed form, refused past qseries.SERIES_BUDGET.
     """
     if trunc is None:
         trunc = 5 * GRID
     if L.name == "Leech":
         t = max(trunc, 2 * GRID)
+        check_work(8, t)  # E4^3 and Delta = eta^24: 7 products measured
         return (E4(t) ** 3 - delta(t).scale(720)).truncate(trunc)
     d = lcm(*(Fraction(a).denominator
               for coset in L.cosets for _, a, _ in coset))

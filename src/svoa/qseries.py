@@ -1,23 +1,24 @@
 """Truncated q-series on the 1/48 exponent grid, plus the catalog of
 standard modular expansions.
 
-A series is a sparse map index -> coefficient where index n stands for
-q^(n/48).  The grid 1/48 is the finest needed anywhere: a character of
-rank c in (1/2)Z starts at q^(-c/24) in (1/48)Z, and the 1/16-sector
-exponents land on it as well.  Coefficients are ints and Fractions only;
-rationals with denominator 1 are stored as plain ints so that the hot
-convolution loops run on machine integers.
+Index n stands for q^(n/48).  The grid 1/48 is the finest needed anywhere:
+a character of rank c in (1/2)Z starts at q^(-c/24) in (1/48)Z, and the
+1/16-sector exponents land on it as well.  Coefficients are ints and
+Fractions only; rationals with denominator 1 are stored as plain ints so
+that the hot convolution loops run on machine integers.
+
+A series is a dense slot list: slots[k] is the coefficient at index
+lead + k*step, step the gcd of the support's offsets from the lead (0 for a
+single term).  The product and inverse kernels and the fractional-power
+recurrence run on the list as it is; an integer-step series never visits
+the 47 empty indices between two terms.  `_make` alone makes this form:
+slots[0] and slots[-1] nonzero, no integral Fraction, lead None for the
+zero series (read as 0 where no slot is placed).  Equal series therefore
+have equal (lead, step, slots, trunc).
 
 Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
 bound (``min`` for +/-, the lead-shifted ``min`` for products).
-
-The series stay sparse on the 1/48 grid, but the product and inverse
-kernels and the fractional-power recurrence run in units of a stride g:
-the gcd of the operands' offsets from their leads.  Every result
-coefficient then sits at the result's lead plus a multiple of g, so the
-recurrences run on a dense list, and an integer-step series (g = 48)
-never visits the 47 empty indices between two terms.
 
 Every infinite product in the catalog is an eta quotient, a product of
 dilated Euler products prod_{n>=1} (1 - q^(n*s/48)) to integer powers,
@@ -27,7 +28,7 @@ built by the one product primitive `eta_quotient`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import power
 
@@ -39,9 +40,27 @@ class GridError(ValueError):
     """Raised when an operation would leave the 1/48 exponent grid."""
 
 
+# cap on (series products) x (integer steps per series)^2, a proxy for the
+# coefficient products of a q-series computation, refused before it starts.
+# At the cap one call took 96 s (series j, order 10000) to 356 s (baby
+# sector 0, order 2600; orbifold Leech, order 5300) on a 2-vCPU VM
+SERIES_BUDGET = 2_000_000_000
+
+
+def check_work(products, span):
+    """Raise RuntimeError if `products` products of series `span` grid
+    indices long would exceed SERIES_BUDGET."""
+    work = products * (max(span, 0) // GRID) ** 2
+    if work > SERIES_BUDGET:
+        raise RuntimeError("q-series work over %d grid indices needs about %d "
+                           "coefficient products, over the budget of %d"
+                           % (span, work, SERIES_BUDGET))
+
+
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    """An integral Fraction as int (the exact type test skips the ABC check)."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 
@@ -54,27 +73,40 @@ def _coeff_div(a, b):
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
-def _stride(coeffs, lead, g=0):
-    """gcd of g and the support's offsets from `lead` (0: a single term)."""
-    return gcd(g, *(n - lead for n in coeffs))
-
-
-def _from_slots(slots, lead, g, trunc):
-    """The series with coefficient slots[k] at index lead + k*g."""
-    return QSeries({lead + g * k: c for k, c in enumerate(slots) if c}, trunc)
-
-
 class QSeries:
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("lead", "step", "slots", "trunc")
 
-    def __init__(self, coeffs, trunc):
-        self.trunc = trunc
-        self.coeffs = {}
-        for n, c in coeffs.items():
-            if n >= trunc:
-                continue
-            if c:
-                self.coeffs[n] = _norm_coeff(c)
+    def __new__(cls, coeffs, trunc):
+        """The series with coefficient coeffs[n] at each index n < trunc."""
+        keys = [n for n in coeffs if n < trunc and coeffs[n]]
+        lead = min(keys, default=0)
+        step = gcd(*[n - lead for n in keys]) or 1
+        slots = [0] * ((max(keys, default=lead - 1) - lead) // step + 1)
+        for n in keys:
+            slots[(n - lead) // step] = coeffs[n]
+        return QSeries._make(lead, step, slots, trunc)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through the dict constructor
+        return self.coeffs, self.trunc
+
+    @staticmethod
+    def _make(lead, step, slots, trunc):
+        """The series with coefficient slots[k] at index lead + k*step (step 0
+        for a single slot), cut below trunc, in canonical form."""
+        slots = [_norm_coeff(c) for c in
+                 slots[:max(0, (trunc - (lead or 0) - 1) // (step or 1) + 1)]]
+        nz = [k for k, c in enumerate(slots) if c]
+        d = 0  # the gcd of the nonzero slots' offsets from the first
+        for k in nz:
+            d = gcd(d, k - nz[0])
+            if d == 1:
+                break
+        x = object.__new__(QSeries)
+        x.lead = lead + nz[0] * step if nz else None
+        x.step = step * d
+        x.slots = slots[nz[0]:nz[-1] + 1:d or 1] if nz else []
+        x.trunc = trunc
+        return x
 
     # -- constructors --------------------------------------------------------
 
@@ -93,101 +125,102 @@ class QSeries:
     # -- basic queries --------------------------------------------------------
 
     @property
-    def lead(self):
-        """Smallest index with nonzero coefficient (None for the zero series)."""
-        return min(self.coeffs) if self.coeffs else None
+    def coeffs(self):
+        """The nonzero terms as a new dict index -> coefficient, in index order."""
+        return {self.lead + self.step * k: c for k, c in enumerate(self.slots) if c}
 
     @property
     def lead_coeff(self):
-        return self.coeffs[min(self.coeffs)] if self.coeffs else 0
+        return self.slots[0] if self.slots else 0
 
     def coeff(self, index):
-        return self.coeffs.get(index, 0)
+        k, r = divmod(index - (self.lead or 0), self.step or 1)
+        return self.slots[k] if not r and 0 <= k < len(self.slots) else 0
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.slots
 
     def support(self):
-        return sorted(self.coeffs)
+        return list(self.coeffs)
 
     # -- ring operations -------------------------------------------------------
-
-    def _lead_or_trunc(self):
-        return self.lead if self.coeffs else self.trunc
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QSeries({0: other}, self.trunc)
         t = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0) + c
-        return QSeries(out, t)
+        if not self.slots or not other.slots:
+            return (self if self.slots else other).truncate(t)
+        e = min(self.lead, other.lead)
+        g = gcd(self.step, other.step, self.lead - other.lead) or 1
+        out = [0] * ((t - e - 1) // g + 1)
+        n = len(out)
+        for x in (self, other):
+            k, m = (x.lead - e) // g, x.step // g
+            for c in x.slots:
+                if k >= n:
+                    break
+                out[k] += c
+                k += m
+        return QSeries._make(e, g, out, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
+        return QSeries._make(self.lead, self.step, [-c for c in self.slots], self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries({0: other}, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, s):
-        if s == 0:
-            return QSeries({}, self.trunc)
-        return QSeries({n: c * s for n, c in self.coeffs.items()}, self.trunc)
+        return QSeries._make(self.lead, self.step, [c * s for c in self.slots], self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        t = min(self.trunc + other._lead_or_trunc(),
-                other.trunc + self._lead_or_trunc())
-        a = self.coeffs
-        b = other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return QSeries({}, t)
-        ea, eb = min(a), min(b)
-        e = ea + eb
-        g = _stride(a, ea, _stride(b, eb)) or t - e
+        t = min(self.trunc + (other.trunc if other.lead is None else other.lead),
+                other.trunc + (self.trunc if self.lead is None else self.lead))
+        a, b = (self, other) if len(self.slots) <= len(other.slots) else (other, self)
+        if not a.slots:
+            return QSeries.zero(t)
+        e = a.lead + b.lead
+        g = gcd(a.step, b.step) or t - e
         out = [0] * ((t - e - 1) // g + 1)
         n = len(out)
-        bk = sorted(((j - eb) // g, y) for j, y in b.items())
-        for i, x in a.items():
-            i = (i - ea) // g
-            for j, y in bk:
-                k = i + j
-                if k >= n:
-                    break
-                out[k] += x * y
-        return _from_slots(out, e, g, t)
+        ma, mb = a.step // g, b.step // g
+        bk = [(j * mb, y) for j, y in enumerate(b.slots) if y]
+        for i, x in enumerate(a.slots):
+            if x:
+                i *= ma
+                for j, y in bk:
+                    k = i + j
+                    if k >= n:
+                        break
+                    out[k] += x * y
+        return QSeries._make(e, g, out, t)
 
     __rmul__ = __mul__
 
     def shift(self, dindex):
         """Multiply by q^(dindex/48)."""
-        return QSeries({n + dindex: c for n, c in self.coeffs.items()},
-                       self.trunc + dindex)
+        return QSeries._make((self.lead or 0) + dindex, self.step, self.slots,
+                             self.trunc + dindex)
 
     def truncate(self, trunc):
-        return QSeries({n: c for n, c in self.coeffs.items() if n < trunc},
-                       min(self.trunc, trunc))
+        return QSeries._make(self.lead, self.step, self.slots, min(self.trunc, trunc))
 
     def inv(self):
         """Multiplicative inverse; the result is valid to trunc - 2*lead."""
-        if self.is_zero():
+        if not self.slots:
             raise ZeroDivisionError("inverse of the zero series")
         e = self.lead
         span = self.trunc - e
-        g = _stride(self.coeffs, e) or span
-        u0inv = _coeff_div(1, self.coeffs[e])
-        rest = sorted(((n - e) // g, c) for n, c in self.coeffs.items() if n != e)
+        g = self.step or span
+        u0inv = _coeff_div(1, self.slots[0])
+        rest = [(m, c) for m, c in enumerate(self.slots) if m and c]
         out = [u0inv] + [0] * ((span - 1) // g)
         for k in range(1, len(out)):
             # coefficient k of (unit part) * (partial inverse) must vanish
@@ -200,12 +233,11 @@ class QSeries:
                     s += c * y
             if s:
                 out[k] = _norm_coeff(-(s * u0inv))
-        return _from_slots(out, -e, g, self.trunc - 2 * e)
+        return QSeries._make(-e, g, out, self.trunc - 2 * e)
 
     def __pow__(self, n: int):
         if n == 0:
-            rel = self.trunc - self.lead if self.coeffs else self.trunc
-            return QSeries.one(rel)
+            return QSeries.one(self.trunc - (self.lead or 0))
         if n < 0:
             return self.inv() ** (-n)
         return power(self, n)
@@ -216,10 +248,9 @@ class QSeries:
         step_index=48 is d/dq; step_index=24 differentiates with respect
         to q^(1/2).
         """
-        out = {}
-        for n, c in self.coeffs.items():
-            out[n - step_index] = c * Fraction(n, step_index)
-        return QSeries(out, self.trunc - step_index)
+        e, g = self.lead or 0, self.step
+        slots = [c * Fraction(e + g * k, step_index) for k, c in enumerate(self.slots)]
+        return QSeries._make(e - step_index, g, slots, self.trunc - step_index)
 
     # -- fractional powers -----------------------------------------------------
 
@@ -235,20 +266,20 @@ class QSeries:
         r = Fraction(r)
         if r.denominator == 1:
             return self ** int(r)
-        if self.is_zero():
+        if not self.slots:
             raise ZeroDivisionError("fractional power of the zero series")
         e = self.lead
-        if self.coeffs[e] != 1:
+        if self.slots[0] != 1:
             raise ValueError("fractional power needs leading coefficient 1, got %s"
-                             % (self.coeffs[e],))
+                             % (self.slots[0],))
         re = r * e
         if re.denominator != 1:
             raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
                             % (e, r))
         p, q = r.numerator, r.denominator
         span = self.trunc - e
-        g = _stride(self.coeffs, e) or span
-        rest = sorted(((n - e) // g, c) for n, c in self.coeffs.items() if n != e)
+        g = self.step or span
+        rest = [(k, c) for k, c in enumerate(self.slots) if k and c]
         out = [1] + [0] * ((span - 1) // g)
         for n in range(1, len(out)):
             s = 0
@@ -260,7 +291,7 @@ class QSeries:
                     s += ((p + q) * k - q * n) * c * y
             if s:
                 out[n] = _coeff_div(s, q * n)
-        return _from_slots(out, int(re), g, int(re) + span)
+        return QSeries._make(int(re), g, out, int(re) + span)
 
     # -- comparison and display -------------------------------------------------
 
@@ -273,21 +304,20 @@ class QSeries:
         t = min(self.trunc, other.trunc)
         if upto is not None:
             t = min(t, upto)
-        diffs = [n for n in set(self.coeffs) | set(other.coeffs)
-                 if n < t and self.coeff(n) != other.coeff(n)]
-        return min(diffs) if diffs else None
+        return min([n for n in set(self.coeffs) | set(other.coeffs)
+                    if n < t and self.coeff(n) != other.coeff(n)], default=None)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
+        return (self.lead, self.step, self.slots, self.trunc) == (
+            other.lead, other.step, other.slots, other.trunc)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.slots:
             return "0"
         parts = []
-        for n in self.support():
-            c = self.coeffs[n]
+        for n, c in self.coeffs.items():
             e = Fraction(n, GRID)
             if e == 0:
                 parts.append(str(c))
@@ -304,12 +334,9 @@ class QSeries:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self):
-        terms = []
-        for n in self.support():
-            f = Fraction(self.coeffs[n])
-            terms.append([n, "%d/%d" % (f.numerator, f.denominator)
-                          if f.denominator != 1 else str(f.numerator)])
-        return {"grid": GRID, "trunc": self.trunc, "terms": terms}
+        # a canonical coefficient is an int or a Fraction p/q with q > 1
+        return {"grid": GRID, "trunc": self.trunc,
+                "terms": [[n, str(c)] for n, c in self.coeffs.items()]}
 
     @staticmethod
     def from_json(obj):
@@ -323,10 +350,8 @@ def denominator_profile(a: QSeries):
     """Running lcm of coefficient denominators, in index order."""
     out = []
     acc = 1
-    for n in a.support():
-        c = a.coeffs[n]
-        d = c.denominator if isinstance(c, Fraction) else 1
-        acc = acc * d // gcd(acc, d)
+    for c in a.coeffs.values():
+        acc = lcm(acc, c.denominator)
         out.append(acc)
     return out
 
@@ -441,9 +466,8 @@ def chi_half_minus(trunc=DEFAULT_TRUNC) -> QSeries:
 
 def _fermion_sector(trunc, parity) -> QSeries:
     """The terms of chi_half at index -1 + 24m with m = parity mod 2."""
-    x = chi_half(trunc)
-    return QSeries({n: c for n, c in x.coeffs.items()
-                    if (n + 1) // 24 % 2 == parity}, x.trunc)
+    x = chi_half(trunc)  # lead -1 and step 24 (0 with one term): the sectors alternate
+    return QSeries._make(-1 + 24 * parity, 48, x.slots[parity::2], x.trunc)
 
 
 def chi_ising_0(trunc=DEFAULT_TRUNC) -> QSeries:
@@ -511,7 +535,8 @@ SERIES_PARAMS = {"vacuum": ("c",), "generic_module": ("c", "h")}
 
 def standard_series(name, trunc=DEFAULT_TRUNC, c=None, h=None) -> QSeries:
     """Catalog dispatch; the series must be given exactly the parameters
-    that SERIES_PARAMS lists for it."""
+    that SERIES_PARAMS lists for it, and a truncation whose work exceeds
+    SERIES_BUDGET raises RuntimeError before any."""
     key = name.replace("-", "_")
     if key not in _CATALOG:
         raise ValueError("unknown standard series %r (have: %s)"
@@ -521,6 +546,9 @@ def standard_series(name, trunc=DEFAULT_TRUNC, c=None, h=None) -> QSeries:
     if tuple(given) != takes:
         raise ValueError("%s takes %s, not %s" % (
             key, " and ".join(takes) or "no parameters", " and ".join(given) or "none"))
+    # no catalog series runs more than 20 full products (j_theta: 18), each
+    # spanning trunc from the lead, -2c + 48h for the vacuum and generic modules
+    check_work(20, trunc + 2 * (c or 0) - GRID * (h or 0))
     return _CATALOG[key](*given.values(), trunc).truncate(trunc)
 
 

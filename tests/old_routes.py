@@ -5,10 +5,11 @@ svoa.extremal's kind table, the one-off product routes behind
 svoa.qseries.eta_quotient, and the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
 direct Lagrange-Buermann coefficient, the PLU group action behind
-svoa.invariants.poly_act's balanced split, and the whole-matrix
+svoa.invariants.poly_act's balanced split, the whole-matrix
 breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
-by determinant and lower half, and its once-per-degree fold.
+by determinant and lower half, and its once-per-degree fold, and the
+dict-backed q-series behind svoa.qseries's slot form.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -24,14 +25,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, floor, gcd
 
-from svoa.cyclo import Cyclo, cyc_zero, dot
+from svoa.cyclo import Cyclo, cyc_zero, dot, power
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport,
                            _kind)
-from svoa.invariants import NVARS, MultiPoly, _norm_coeff, _permute
-from svoa.qseries import (GRID, GridError, QSeries, _coeff_div, _from_slots,
-                          _norm_coeff as _series_norm_coeff, _stride, cbrt_j,
-                          chi_half, cusp1_chi_half, theta_Z_half, vacuum)
+from svoa.invariants import NVARS, MultiPoly, _permute
+from svoa.qseries import (DEFAULT_TRUNC, GRID, GridError, QSeries, cbrt_j, chi_half,
+                          cusp1_chi_half, theta_Z_half, vacuum)
 
 DEGREE = 16
 
@@ -241,6 +241,18 @@ def molien(elements, maxdeg):
         for m in range(maxdeg + 1):
             total[m] = total[m] + inv[m] * count
     return [v.rational() / len(elements) for v in total]
+
+
+# -- svoa.invariants' coefficient normalisation, as the shears below ran it ------
+
+
+def _norm_coeff(c):
+    """A rational Cyclo as int or Fraction, an integral Fraction as int."""
+    if isinstance(c, Cyclo) and c.is_rational():
+        c = c.rational()
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
 
 
 # -- the push-style shear --------------------------------------------------------
@@ -548,6 +560,294 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
                         first_negative=neg, first_non_integral=non_int)
 
 
+# -- the dict-backed q-series behind svoa.qseries's slot form -----------------
+#
+# QSeries as a sparse map index -> coefficient, whose kernels ran on slot
+# lists at the support's stride and turned each result back into a dict, as
+# it was before svoa.qseries stored (lead, step, slots, trunc), with its
+# helpers; `_from_slots` builds a DictQSeries, so `_exp` below returns one.
+
+
+def _series_norm_coeff(c):
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    return c
+
+
+def _series_coeff_div(a, b):
+    """Exact division of coefficients (never integer floor division)."""
+    if type(a) is int and type(b) is int:
+        q, m = divmod(a, b)
+        if not m:
+            return q
+    return _series_norm_coeff(Fraction(a) / Fraction(b))
+
+
+def _stride(coeffs, lead, g=0):
+    """gcd of g and the support's offsets from `lead` (0: a single term)."""
+    return gcd(g, *(n - lead for n in coeffs))
+
+
+def _from_slots(slots, lead, g, trunc):
+    """The series with coefficient slots[k] at index lead + k*g."""
+    return DictQSeries({lead + g * k: c for k, c in enumerate(slots) if c}, trunc)
+
+
+class DictQSeries:
+    __slots__ = ("coeffs", "trunc")
+
+    def __init__(self, coeffs, trunc):
+        self.trunc = trunc
+        self.coeffs = {}
+        for n, c in coeffs.items():
+            if n >= trunc:
+                continue
+            if c:
+                self.coeffs[n] = _series_norm_coeff(c)
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def zero(trunc=DEFAULT_TRUNC):
+        return DictQSeries({}, trunc)
+
+    @staticmethod
+    def one(trunc=DEFAULT_TRUNC):
+        return DictQSeries({0: 1}, trunc)
+
+    @staticmethod
+    def monomial(index, coeff=1, trunc=DEFAULT_TRUNC):
+        return DictQSeries({index: coeff}, trunc)
+
+    # -- basic queries --------------------------------------------------------
+
+    @property
+    def lead(self):
+        """Smallest index with nonzero coefficient (None for the zero series)."""
+        return min(self.coeffs) if self.coeffs else None
+
+    @property
+    def lead_coeff(self):
+        return self.coeffs[min(self.coeffs)] if self.coeffs else 0
+
+    def coeff(self, index):
+        return self.coeffs.get(index, 0)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def support(self):
+        return sorted(self.coeffs)
+
+    # -- ring operations -------------------------------------------------------
+
+    def _lead_or_trunc(self):
+        return self.lead if self.coeffs else self.trunc
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = DictQSeries({0: other}, self.trunc)
+        t = min(self.trunc, other.trunc)
+        out = dict(self.coeffs)
+        for n, c in other.coeffs.items():
+            out[n] = out.get(n, 0) + c
+        return DictQSeries(out, t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DictQSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = DictQSeries({0: other}, self.trunc)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, s):
+        if s == 0:
+            return DictQSeries({}, self.trunc)
+        return DictQSeries({n: c * s for n, c in self.coeffs.items()}, self.trunc)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        t = min(self.trunc + other._lead_or_trunc(),
+                other.trunc + self._lead_or_trunc())
+        a = self.coeffs
+        b = other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return DictQSeries({}, t)
+        ea, eb = min(a), min(b)
+        e = ea + eb
+        g = _stride(a, ea, _stride(b, eb)) or t - e
+        out = [0] * ((t - e - 1) // g + 1)
+        n = len(out)
+        bk = sorted(((j - eb) // g, y) for j, y in b.items())
+        for i, x in a.items():
+            i = (i - ea) // g
+            for j, y in bk:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] += x * y
+        return _from_slots(out, e, g, t)
+
+    __rmul__ = __mul__
+
+    def shift(self, dindex):
+        """Multiply by q^(dindex/48)."""
+        return DictQSeries({n + dindex: c for n, c in self.coeffs.items()},
+                       self.trunc + dindex)
+
+    def truncate(self, trunc):
+        return DictQSeries({n: c for n, c in self.coeffs.items() if n < trunc},
+                       min(self.trunc, trunc))
+
+    def inv(self):
+        """Multiplicative inverse; the result is valid to trunc - 2*lead."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of the zero series")
+        e = self.lead
+        span = self.trunc - e
+        g = _stride(self.coeffs, e) or span
+        u0inv = _series_coeff_div(1, self.coeffs[e])
+        rest = sorted(((n - e) // g, c) for n, c in self.coeffs.items() if n != e)
+        out = [u0inv] + [0] * ((span - 1) // g)
+        for k in range(1, len(out)):
+            # coefficient k of (unit part) * (partial inverse) must vanish
+            s = 0
+            for m, c in rest:
+                if m > k:
+                    break
+                y = out[k - m]
+                if y:
+                    s += c * y
+            if s:
+                out[k] = _series_norm_coeff(-(s * u0inv))
+        return _from_slots(out, -e, g, self.trunc - 2 * e)
+
+    def __pow__(self, n: int):
+        if n == 0:
+            rel = self.trunc - self.lead if self.coeffs else self.trunc
+            return DictQSeries.one(rel)
+        if n < 0:
+            return self.inv() ** (-n)
+        return power(self, n)
+
+    def derivative(self, step_index=GRID):
+        """Formal derivative d/dp with p = q^(step_index/48).
+
+        step_index=48 is d/dq; step_index=24 differentiates with respect
+        to q^(1/2).
+        """
+        out = {}
+        for n, c in self.coeffs.items():
+            out[n - step_index] = c * Fraction(n, step_index)
+        return DictQSeries(out, self.trunc - step_index)
+
+    # -- fractional powers -----------------------------------------------------
+
+    def pow_rational(self, r) -> "DictQSeries":
+        """a^r for rational r = p/q by J.C.P. Miller's power recurrence
+        (Knuth, TAOCP vol. 2, 4.7) on the unit part u, u_0 = 1:
+        q*n*y_n = sum_{k=1..n} ((p+q)*k - q*n) * u_k * y_(n-k), y = u^r,
+        in units of the stride of u.
+
+        Requires leading coefficient exactly 1; the shifted leading
+        exponent r*lead must land back on the 1/48 grid.
+        """
+        r = Fraction(r)
+        if r.denominator == 1:
+            return self ** int(r)
+        if self.is_zero():
+            raise ZeroDivisionError("fractional power of the zero series")
+        e = self.lead
+        if self.coeffs[e] != 1:
+            raise ValueError("fractional power needs leading coefficient 1, got %s"
+                             % (self.coeffs[e],))
+        re = r * e
+        if re.denominator != 1:
+            raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
+                            % (e, r))
+        p, q = r.numerator, r.denominator
+        span = self.trunc - e
+        g = _stride(self.coeffs, e) or span
+        rest = sorted(((n - e) // g, c) for n, c in self.coeffs.items() if n != e)
+        out = [1] + [0] * ((span - 1) // g)
+        for n in range(1, len(out)):
+            s = 0
+            for k, c in rest:
+                if k > n:
+                    break
+                y = out[n - k]
+                if y:
+                    s += ((p + q) * k - q * n) * c * y
+            if s:
+                out[n] = _series_coeff_div(s, q * n)
+        return _from_slots(out, int(re), g, int(re) + span)
+
+    # -- comparison and display -------------------------------------------------
+
+    def agrees_with(self, other, upto=None) -> bool:
+        """Equality of coefficients up to the common truncation."""
+        return self.first_difference(other, upto) is None
+
+    def first_difference(self, other, upto=None):
+        """Smallest index where the two series differ, or None."""
+        t = min(self.trunc, other.trunc)
+        if upto is not None:
+            t = min(t, upto)
+        diffs = [n for n in set(self.coeffs) | set(other.coeffs)
+                 if n < t and self.coeff(n) != other.coeff(n)]
+        return min(diffs) if diffs else None
+
+    def __eq__(self, other):
+        if not isinstance(other, DictQSeries):
+            return NotImplemented
+        return self.trunc == other.trunc and self.coeffs == other.coeffs
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for n in self.support():
+            c = self.coeffs[n]
+            e = Fraction(n, GRID)
+            if e == 0:
+                parts.append(str(c))
+            else:
+                es = ("q" if e == 1 else
+                      "q^%d" % e if e.denominator == 1 else
+                      "q^(%s)" % e)
+                cs = "" if c == 1 else ("-" if c == -1 else str(c) + " ")
+                parts.append(cs + es)
+        return " + ".join(parts).replace("+ -", "- ")
+
+    __repr__ = __str__
+
+    # -- serialization -----------------------------------------------------------
+
+    def to_json(self):
+        terms = []
+        for n in self.support():
+            f = Fraction(self.coeffs[n])
+            terms.append([n, "%d/%d" % (f.numerator, f.denominator)
+                          if f.denominator != 1 else str(f.numerator)])
+        return {"grid": GRID, "trunc": self.trunc, "terms": terms}
+
+    @staticmethod
+    def from_json(obj):
+        if obj.get("grid") != GRID:
+            raise ValueError("unsupported grid %r" % obj.get("grid"))
+        return DictQSeries({int(n): Fraction(v) for n, v in obj["terms"]},
+                       obj["trunc"])
+
+
 # -- the product routes that eta_quotient replaced --------------------------------
 #
 # The two-branch pentagonal series, the binomial-at-a-time half-step product,
@@ -603,7 +903,7 @@ def chi_ising_16(trunc) -> QSeries:
     t = trunc + 8
     s = theta_Z_half(t) * eta(t).inv()
     e = s.lead
-    u = QSeries({n - e: _coeff_div(c, s.coeffs[e]) for n, c in s.coeffs.items()},
+    u = QSeries({n - e: _series_coeff_div(c, s.coeffs[e]) for n, c in s.coeffs.items()},
                 s.trunc - e)
     return pow_rational(u, Fraction(1, 2)).shift(e // 2)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from svoa import cli, invariants, qseries
 from svoa.cli import main
 from svoa.qseries import QSeries
 
@@ -287,6 +288,38 @@ def test_huge_molien_degree_fails_fast(capsys):
     # the degree every caller uses stays far inside the bound
     code, out, _ = run(capsys, "molien", "--rank", "47/2", "--deg", "48")
     assert code == 0 and "7 t^48" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--order", "200000", "series", "j"],
+    ["--order", "200000", "baby"],
+    # Leech's theta series is a closed form, so no theta count budget applies
+    ["--order", "200000", "orbifold", "--lattice", "Leech"],
+])
+def test_huge_series_order_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and "budget" in err
+
+
+def test_series_budget_leaves_room_for_frontier_orders(monkeypatch):
+    # series j --order 3000 and baby --order 150 pass a tenth of the budget:
+    # their work starts, which the stubs below report instead of running it
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(qseries, "SERIES_BUDGET", qseries.SERIES_BUDGET // 10)
+    monkeypatch.setitem(qseries._CATALOG, "j", started)
+    monkeypatch.setattr(invariants, "chi_ising_0", started)
+    for argv in (["--order", "3000", "series", "j"], ["--order", "150", "baby"]):
+        with pytest.raises(Started):
+            cli.run(argv)
+    with pytest.raises(RuntimeError, match="budget"):
+        cli.run(["--order", "10000", "series", "j"])
 
 
 def test_order_env_override(capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """q-series engine: ring laws, catalog expansions, fractional powers,
 derivatives, Ising sectors, denominator profiles."""
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -252,6 +255,9 @@ def test_json_round_trip():
     assert back == j
     x = QSeries({-24: Fraction(1, 3), 0: 2}, 100)
     assert QSeries.from_json(x.to_json()) == x
+    # copy and pickle rebuild a series through the dict constructor
+    for y in (j, x, QSeries.zero(7)):
+        assert copy.deepcopy(y) == y == pickle.loads(pickle.dumps(y))
 
 
 def test_str_format():
@@ -288,8 +294,8 @@ def test_pow_rational_domain_errors_survive_optimize():
 
 
 def _grid_mul(self, other):
-    t = min(self.trunc + other._lead_or_trunc(),
-            other.trunc + self._lead_or_trunc())
+    t = min(self.trunc + (other.trunc if other.is_zero() else other.lead),
+            other.trunc + (self.trunc if self.is_zero() else self.lead))
     out = {}
     a = self.coeffs
     b = other.coeffs
@@ -429,6 +435,95 @@ def test_stride_is_the_gcd_of_the_whole_support():
     assert _same(QSeries({5: 2}, 300).inv(), _grid_inv(QSeries({5: 2}, 300)))
     c = QSeries({-5: 1, 40: 2}, 400)
     assert _same(QSeries({5: 2}, 300) * c, _grid_mul(QSeries({5: 2}, 300), c))
+
+
+# -- the slot form against the dict-backed series it replaced ------------------
+
+
+def _check(x, oracle):
+    """x has the oracle's coefficients and trunc, in canonical slot form."""
+    assert (x.coeffs, x.trunc) == (oracle.coeffs, oracle.trunc)
+    if x.lead is None:
+        assert (x.step, x.slots) == (0, [])
+        return
+    assert x.slots[0] and x.slots[-1]
+    assert x.step == gcd(*[n - x.lead for n in x.coeffs])
+    assert x.lead + x.step * (len(x.slots) - 1) < x.trunc
+    assert not [c for c in x.slots if type(c) is Fraction and c.denominator == 1]
+
+
+def _dict(x):
+    return old_routes.DictQSeries(x.coeffs, x.trunc)
+
+
+def _against_oracle(a, b, rng, kind):
+    """Every kernel on a (and b) against the dict-backed series."""
+    da, db = _dict(a), _dict(b)
+    s, d, step = _coefficient(rng, kind), rng.randint(-60, 60), rng.choice(STRIDES)
+    cut = rng.randint(-70, a.trunc + 5)
+    _check(a * b, da * db)
+    _check(a + b, da + db)
+    _check(a - b, da - db)
+    _check(a.shift(d), da.shift(d))
+    _check(a.truncate(cut), da.truncate(cut))
+    _check(a.scale(s), da.scale(s))
+    _check(a.scale(0), da.scale(0))
+    _check(a.derivative(step), da.derivative(step))
+    if not a.is_zero():
+        _check(a.inv(), da.inv())
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_slot_kernels_match_dict_backed_series(kind):
+    rng = random.Random(2718 + len(kind))
+    for trial in range(80):
+        a = _strided_series(rng, rng.choice(STRIDES), kind)
+        b = _strided_series(rng, rng.choice(STRIDES), kind)
+        _against_oracle(a, b, rng, kind)
+        r = Fraction(rng.choice([1, -1, 3]), rng.choice([2, 3, 4]))
+        v = _strided_series(rng, rng.choice(STRIDES), kind,
+                            lead=r.denominator * rng.randint(-15, 15), monic=True)
+        _check(v.pow_rational(r), _dict(v).pow_rational(r))
+
+
+def test_slot_kernels_on_zero_single_term_and_edge_series():
+    rng = random.Random(31)
+    specials = [QSeries.zero(300), QSeries.zero(-40), QSeries({5: 2}, 300),
+                QSeries({-7: Fraction(3, 2)}, 100), QSeries({-48: 1, 0: 1}, 1)]
+    for stride in STRIDES:
+        lead = rng.randint(-60, 60)
+        trunc = lead + 5 * stride
+        # the term at trunc - 1 is kept, the one at trunc dropped
+        edge = QSeries({lead: 1, trunc - 1: 3, trunc: 5}, trunc)
+        assert edge.coeff(trunc - 1) == 3 and edge.coeff(trunc) == 0
+        _check(edge, old_routes.DictQSeries({lead: 1, trunc - 1: 3, trunc: 5}, trunc))
+        specials.append(edge)
+    # a product whose last term lands at trunc - 1, and one where it is cut
+    for t in (11, 10):
+        x, y = QSeries({0: 1, 5: 2}, t), QSeries({0: 1, 5: 3}, 11)
+        _check(x * y, _dict(x) * _dict(y))
+    for a in specials:
+        for b in specials:
+            _against_oracle(a, b, rng, "fraction")
+
+
+def test_canonical_form_is_route_independent():
+    # -2 + 46 + 142 on the 1/48 grid: step 48, with a zero slot at 94
+    made = [
+        QSeries({-2: 3, 46: Fraction(4, 2), 142: -1}, 300),
+        # the cancelled q^(22/48) coarsens the stride from 24 to 48
+        QSeries({-2: 3, 22: 5, 46: 2, 142: -1}, 300) + QSeries({22: -5}, 300),
+        QSeries({0: 3, 48: 2, 144: -1}, 302) * QSeries({-2: 1}, 400),
+        QSeries({-2: Fraction(3, 2), 46: 1, 142: Fraction(-1, 2)}, 300).scale(2),
+    ]
+    for x in made:
+        assert (x.lead, x.step, x.slots, x.trunc) == (-2, 48, [3, 2, 0, -1], 300)
+        assert [type(c) for c in x.slots] == [int] * 4
+        assert x == made[0]
+    single = QSeries({0: 1, 7: 1}, 100) - QSeries({0: 1}, 100)
+    assert (single.lead, single.step, single.slots) == (7, 0, [1])
+    zero = single - QSeries.monomial(7, trunc=100)
+    assert (zero.lead, zero.step, zero.slots, zero.trunc) == (None, 0, [], 100)
 
 
 # -- Miller's power recurrence against the replaced log/exp route --------------
