@@ -29,27 +29,23 @@ def marginal_polynomial(P: MultiPoly, sector: int) -> MultiPoly:
         raise ValueError("sector must be 0, 1 or 2")
     if not P.is_homogeneous() or P.degree() != 48:
         raise ValueError("marginal needs a homogeneous degree-48 polynomial")
-    out = {}
-    for (i, j, k), m in P.terms.items():
-        if sector == 0 and i >= 1:
-            out[(i - 1, j, k)] = i * m
-        elif sector == 1 and j >= 1:
-            out[(i, j - 1, k)] = j * m
-        elif sector == 2 and k >= 1:
-            out[(i, j, k - 1)] = k * m
-    return MultiPoly(out)
+    # the derivative of P in the sector's variable
+    return MultiPoly({m[:sector] + (m[sector] - 1,) + m[sector + 1:]: m[sector] * c
+                      for m, c in P.terms.items() if m[sector]})
 
 
-def baby_character(sector: int, trunc=DEFAULT_TRUNC) -> QSeries:
-    """Character of the sector-l component module, l = 0, 1, 2."""
-    P = monster_polynomial()
-    w = marginal_polynomial(P, sector)
+def _character(w: MultiPoly, trunc) -> QSeries:
     x = evaluate_at_characters(w, trunc).scale(Fraction(1, 48))
     for n, c in x.coeffs.items():
         if Fraction(c).denominator != 1:
             raise ArithmeticError("non-integer coefficient %s at index %d: "
                                   "upstream enumerator is inconsistent" % (c, n))
     return x
+
+
+def baby_character(sector: int, trunc=DEFAULT_TRUNC) -> QSeries:
+    """Character of the sector-l component module, l = 0, 1, 2."""
+    return _character(marginal_polynomial(monster_polynomial(), sector), trunc)
 
 
 def baby_identity_check(trunc=DEFAULT_TRUNC) -> bool:
@@ -74,9 +70,8 @@ class BabyDecomposition:
 
 
 def baby_decomposition(sector: int, trunc=DEFAULT_TRUNC) -> BabyDecomposition:
-    P = monster_polynomial()
-    w = marginal_polynomial(P, sector)
+    w = marginal_polynomial(monster_polynomial(), sector)
     if any(v < 0 or Fraction(v).denominator != 1 for v in w.terms.values()):
         raise ArithmeticError("marginal multiplicities must be nonnegative integers")
     return BabyDecomposition(sector=sector, weight=SECTOR_WEIGHTS[sector],
-                             marginal=w, character=baby_character(sector, trunc))
+                             marginal=w, character=_character(w, trunc))

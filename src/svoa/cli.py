@@ -247,6 +247,10 @@ def run(argv) -> int:
             else invariants.monster_polynomial())
     elif cmd == "baby":
         sectors = (0, 1, 2) if args.sector is None else (args.sector,)
+        # one budget for all the sectors, checked before the first is evaluated
+        P = invariants.monster_polynomial()
+        invariants.check_evaluation_work(
+            [babymonster.marginal_polynomial(P, l) for l in sectors], trunc)
         out = _sectors({l: babymonster.baby_character(l, trunc) for l in sectors})
     elif cmd == "molien":
         T, S = modrep.character_rep(args.rank)

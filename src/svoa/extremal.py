@@ -68,15 +68,15 @@ class ExtremalSolution:
     k: int
     a: list                 # a_0 .. a_k
     series: QSeries         # the extremal character
-    A: dict                 # n -> A_n, n = k+1 .. window (steps of q or q^(1/2))
+    A: dict                 # n -> A_n, n = k+1 .. k+margin (steps of q or q^(1/2))
 
 
 # per kind: the generator, the rank per unit of its exponent, the exponent
-# drop and grid step per basis element, k = floor(c / kdiv), the hauptmodul
-# and the extra working order of the Lagrange check
-_Kind = namedtuple("_Kind", "gen unit drop step kdiv haupt extra")
-_KINDS = {VOA: _Kind(cbrt_j, Fraction(8), 3, GRID, 24, j_function, 0),
-          SVOA: _Kind(chi_half, Fraction(1, 2), 24, 24, 8, j_theta, GRID)}
+# drop and grid step per basis element, k = floor(c / kdiv), the hauptmodul,
+# the extra working order of the Lagrange check and the steps of A past k
+_Kind = namedtuple("_Kind", "gen unit drop step kdiv haupt extra margin")
+_KINDS = {VOA: _Kind(cbrt_j, Fraction(8), 3, GRID, 24, j_function, 0, 6),
+          SVOA: _Kind(chi_half, Fraction(1, 2), 24, 24, 8, j_theta, GRID, 12)}
 
 
 def _kind(kind):
@@ -110,14 +110,13 @@ def _peel(x: QSeries, basis, lead: int, step: int):
     return a, partial
 
 
-def _extremal(c: Fraction, kind: str, window, margin: int) -> ExtremalSolution:
+def _extremal(c: Fraction, kind: str) -> ExtremalSolution:
     """Match the vacuum character through the first k steps beyond its
     leading term; A_n are the coefficients of the ratio to the vacuum
-    character at steps k+1 .. window (default k + margin)."""
+    character at steps k+1 .. k + margin of the kind."""
     kd = _KINDS[kind]
     k = int(c // kd.kdiv)
-    if window is None:
-        window = k + margin
+    window = k + kd.margin
     rel = GRID * max(k + 3, window * kd.step // GRID + 2, 11)
     work = (k + 1) * (rel // kd.step) ** 2  # refused before any series is built
     if work > WORK_BUDGET:
@@ -131,24 +130,24 @@ def _extremal(c: Fraction, kind: str, window, margin: int) -> ExtremalSolution:
     return ExtremalSolution(c=c, kind=kind, k=k, a=a, series=series, A=A)
 
 
-def extremal_voa(c, window=None) -> ExtremalSolution:
-    """Extremal self-dual VOA character of rank c in 8Z, c >= 8."""
+def extremal_voa(c) -> ExtremalSolution:
+    """Extremal self-dual VOA character of rank c in 8Z, c >= 8; A_n to n = k + 6."""
     c = Fraction(c)
     if c % 8 != 0 or c < 8:
         raise ExtremalError("extremal VOA rank must be a multiple of 8, >= 8; got %s" % c)
-    sol = _extremal(c, VOA, window, 6)
+    sol = _extremal(c, VOA)
     A, k = sol.A, sol.k
     if not (A[k + 1] > 0 and A[k + 2] - A[k + 1] > 0):
         raise ArithmeticError("extremality positivity fails at c=%s: A=%s" % (c, A))
     return sol
 
 
-def extremal_svoa(c, window=None) -> ExtremalSolution:
-    """Extremal self-dual SVOA character of rank c in (1/2)Z, c >= 1/2."""
+def extremal_svoa(c) -> ExtremalSolution:
+    """Extremal self-dual SVOA character of rank c in (1/2)Z, c >= 1/2; A_n to n = k + 12."""
     c = Fraction(c)
     if (2 * c).denominator != 1 or c < Fraction(1, 2):
         raise ExtremalError("extremal SVOA rank must be half-integral and >= 1/2; got %s" % c)
-    return _extremal(c, SVOA, window, 12)
+    return _extremal(c, SVOA)
 
 
 # -- series-inversion cross-check ----------------------------------------------
@@ -207,10 +206,10 @@ class ShadowReport:
     first_negative: tuple = None       # (relative exponent, value) witness
     first_non_integral: tuple = None   # (relative exponent, value) witness
 
-    def head(self, nterms=3):
-        """First terms as (exponent relative to q^(-c/24), coefficient)."""
+    def head(self):
+        """First three terms as (exponent relative to q^(-c/24), coefficient)."""
         rel = self.B.shift(int(2 * self.c))
-        return [(Fraction(n, GRID), v) for n, v in list(rel.coeffs.items())[:nterms]]
+        return [(Fraction(n, GRID), v) for n, v in list(rel.coeffs.items())[:3]]
 
 
 def shadow(c, a, trunc) -> ShadowReport:

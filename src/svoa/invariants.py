@@ -13,6 +13,7 @@ linear in the degree instead of expanding powers of full linear forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .cyclo import Cyclo, dot, power
@@ -319,23 +320,21 @@ def basis_invariants():
     return p1, p2, p3, p4
 
 
-def check_invariance(polys=None, ranks=(Fraction(1, 2),)):
-    """Verify that the generating polynomials are fixed by S and T.
+def check_invariance():
+    """Verify that the generating polynomials p1..p4 of basis_invariants are
+    fixed by the S and T of rank 1/2.
 
     A failure aborts with a diagnostic as it signals a broken action
     convention, not recoverable data.
     """
     from .modrep import character_rep
-    if polys is None:
-        polys = basis_invariants()
-    for c in ranks:
-        T, S = character_rep(c)
-        for name, p in zip(("p1", "p2", "p3", "p4"), polys):
-            for gname, g in (("T", T), ("S", S)):
-                if poly_act(g, p) != p:
-                    raise ArithmeticError(
-                        "%s is not fixed by %s at rank %s: the (a,b,c) -> "
-                        "g.(a,b,c) action convention is violated" % (name, gname, c))
+    T, S = character_rep(Fraction(1, 2))
+    for name, p in zip(("p1", "p2", "p3", "p4"), basis_invariants()):
+        for gname, g in (("T", T), ("S", S)):
+            if poly_act(g, p) != p:
+                raise ArithmeticError(
+                    "%s is not fixed by %s at rank 1/2: the (a,b,c) -> "
+                    "g.(a,b,c) action convention is violated" % (name, gname))
     return True
 
 
@@ -442,33 +441,33 @@ def solve_monster_polynomial(constraints=None, verify_published=True) -> MultiPo
     return P
 
 
-_MONSTER_CACHE = None
-
-
+@cache
 def monster_polynomial() -> MultiPoly:
     """The solved weight-enumerator polynomial (cached)."""
-    global _MONSTER_CACHE
-    if _MONSTER_CACHE is None:
-        _MONSTER_CACHE = solve_monster_polynomial()
-    return _MONSTER_CACHE
+    return solve_monster_polynomial()
 
 
 # -- evaluation at the three characters -------------------------------------------
 
 
+def check_evaluation_work(polys, trunc):
+    """Raise RuntimeError if evaluate_at_characters on all of `polys` would
+    together exceed qseries.SERIES_BUDGET; else return its working order."""
+    # working precision: every character starts at q^(-1/48)
+    t = trunc + max(P.degree() for P in polys) + GRID
+    # the powers of each character to its top exponent (zip(*terms) gives the
+    # exponent columns), then up to two products per term
+    check_work(sum(sum(map(max, zip(*P.terms))) + 2 * len(P.terms) for P in polys), t)
+    return t
+
+
 def evaluate_at_characters(P: MultiPoly, trunc) -> QSeries:
     """Substitute a, b, c by the weight-0, 1/2, 1/16 characters of the
     rank-1/2 minimal model; RuntimeError past qseries.SERIES_BUDGET."""
-    imax = max((m[0] for m in P.terms), default=0)
-    jmax = max((m[1] for m in P.terms), default=0)
-    kmax = max((m[2] for m in P.terms), default=0)
-    deg = P.degree()
-    # working precision: every character starts at q^(-1/48)
-    t = trunc + deg + GRID
-    check_work(imax + jmax + kmax + 2 * len(P.terms), t)
+    t = check_evaluation_work([P], trunc)
     chars = (chi_ising_0(t), chi_ising_half(t), chi_ising_16(t))
     pows = []
-    for x, emax in zip(chars, (imax, jmax, kmax)):
+    for x, emax in zip(chars, map(max, zip(*P.terms))):
         col = [QSeries.one(t)]
         for _ in range(emax):
             col.append(col[-1] * x)

@@ -90,11 +90,11 @@ def lattice_names():
 # -- exact counting ----------------------------------------------------------------
 
 
-def _charge(counter, work, budget):
+def _charge(counter, work):
     counter[0] += work
-    if counter[0] > budget:
-        raise EnumerationBudgetError("theta count needs at least %d products, "
-                                     "over the budget of %d" % (counter[0], budget))
+    if counter[0] > THETA_BUDGET:
+        raise EnumerationBudgetError("theta count needs at least %d products, over "
+                                     "the budget of %d" % (counter[0], THETA_BUDGET))
 
 
 def _block_work(terms, n, m, d, norm_max):
@@ -155,8 +155,8 @@ def _block_counts(block, terms, norm_max):
     return states.get(target % m if m else target, {})
 
 
-def _mul_truncated(x, y, norm_max, counter, budget):
-    _charge(counter, len(x) * len(y), budget)
+def _mul_truncated(x, y, norm_max, counter):
+    _charge(counter, len(x) * len(y))
     out = {}
     for nx, cx in x.items():
         for ny, cy in y.items():
@@ -165,13 +165,13 @@ def _mul_truncated(x, y, norm_max, counter, budget):
     return out
 
 
-def theta_series(L: Lattice, trunc=None, budget=THETA_BUDGET) -> QSeries:
+def theta_series(L: Lattice, trunc=None) -> QSeries:
     """Theta series sum over lattice vectors of q^(norm/2), exact integers.
 
     Counts every vector of norm below 2 * trunc / GRID (default trunc
-    q^5) coset by coset; `budget` caps the (state x term) products of the
-    count, every block's bounded before the first coordinate of any, beyond
-    which EnumerationBudgetError is raised.  The Leech entry
+    q^5) coset by coset; THETA_BUDGET caps the (state x term) products of
+    the count, every block's bounded before the first coordinate of any,
+    beyond which EnumerationBudgetError is raised.  The Leech entry
     dispatches to its closed form, refused past qseries.SERIES_BUDGET.
     """
     if trunc is None:
@@ -189,13 +189,13 @@ def theta_series(L: Lattice, trunc=None, budget=THETA_BUDGET) -> QSeries:
     terms = {block: _block_terms(block[1], d, norm_max)
              for coset in L.cosets for block in coset}
     for (n, _, m), t in terms.items():
-        _charge(counter, _block_work(t, n, m, d, norm_max), budget)
+        _charge(counter, _block_work(t, n, m, d, norm_max))
     blocks = {block: _block_counts(block, t, norm_max) for block, t in terms.items()}
     acc = {}
     for coset in L.cosets:
         counts = {0: 1}
         for block in coset:
-            counts = _mul_truncated(counts, blocks[block], norm_max, counter, budget)
+            counts = _mul_truncated(counts, blocks[block], norm_max, counter)
         for norm, cnt in counts.items():
             if (norm * 24) % d2:
                 raise ValueError("norm %s off the exponent grid"
@@ -205,13 +205,13 @@ def theta_series(L: Lattice, trunc=None, budget=THETA_BUDGET) -> QSeries:
     return QSeries(acc, trunc)
 
 
-def svoa_character(L: Lattice, trunc=None, budget=THETA_BUDGET) -> QSeries:
-    """Character theta/eta^n of the lattice theory."""
+def svoa_character(L: Lattice, trunc=None) -> QSeries:
+    """Character theta/eta^n of the lattice theory; THETA_BUDGET as in theta_series."""
     if trunc is None:
         trunc = 4 * GRID
     n = L.dim
     # character leads at q^(-n/24); extend theta so the quotient reaches trunc
     t_theta = trunc + 2 * n + 1
-    th = theta_series(L, t_theta, budget)
+    th = theta_series(L, t_theta)
     e = eta(t_theta + 2 * n) ** n
     return (th * e.inv()).truncate(trunc)

@@ -153,6 +153,8 @@ def _check_relations(S, T):
 
 # -- group closure ---------------------------------------------------------------
 
+# cap on the elements of a closure; the largest group in use, rank 1/2's, has 1152
+CLOSURE_CAP = 10_000
 
 @dataclass(frozen=True)
 class MatrixGroup:
@@ -170,7 +172,7 @@ class MatrixGroup:
         return len(self.dets)
 
 
-def generate_group(gens, cap=10000) -> MatrixGroup:
+def generate_group(gens) -> MatrixGroup:
     """Closure of the group generated by `gens`, run on the orbit of rows.
 
     The rows of m * g are the rows of m times g, so each distinct row is
@@ -180,7 +182,7 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
     m * g costs n table lookups, and records det(m * g) = det(m) det(g): one
     product per new element, each generator's determinant taken once from
     linalg.gauss_jordan.
-    Raises RuntimeError once the closure has more than `cap` elements.
+    Raises RuntimeError once the closure has more than CLOSURE_CAP elements.
     """
     gens = tuple(gens)
     if not gens:
@@ -216,8 +218,8 @@ def generate_group(gens, cap=10000) -> MatrixGroup:
                 if p not in dets:
                     dets[p] = dets[m] * d
                     new.append(p)
-                    if len(dets) > cap:
-                        raise RuntimeError("group closure exceeded cap %d" % cap)
+                    if len(dets) > CLOSURE_CAP:
+                        raise RuntimeError("group closure exceeded cap %d" % CLOSURE_CAP)
         frontier = new
     return MatrixGroup({CycMatrix([rows[r] for r in m]): d for m, d in dets.items()})
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import sys
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from svoa import cli, invariants, qseries
+from svoa import babymonster, cli, invariants, qseries
 from svoa.cli import main
 from svoa.qseries import QSeries
 
@@ -301,6 +302,26 @@ def test_huge_series_order_fails_fast(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == "" and "budget" in err
+
+
+def test_baby_budget_covers_all_sectors(capsys, monkeypatch):
+    # read each sector's work from its refusal, then fit the budget to the
+    # costliest: every sector alone passes, all three together do not
+    monkeypatch.setattr(qseries, "SERIES_BUDGET", 0)
+    needs = []
+    for l in "012":
+        code, _, err = run(capsys, "--order", "2", "baby", "--sector", l)
+        needs.append(int(re.search(r"needs about (\d+) ", err).group(1)))
+    assert code == 1 and sum(needs) > max(needs)
+    monkeypatch.setattr(qseries, "SERIES_BUDGET", max(needs))
+    code, out, _ = run(capsys, "--order", "2", "baby", "--sector", "0")
+    assert code == 0 and out.startswith("sector 0: ")
+    evaluated = []
+    character = babymonster.baby_character
+    monkeypatch.setattr(babymonster, "baby_character",
+                        lambda *args: evaluated.append(args) or character(*args))
+    code, out, err = run(capsys, "--order", "2", "baby")
+    assert code == 1 and out == "" and "budget" in err and evaluated == []
 
 
 def test_series_budget_leaves_room_for_frontier_orders(monkeypatch):

@@ -157,14 +157,14 @@ def test_shadow_values():
     assert rep12.integral and rep12.nonneg
     # half-integral rank: the 1/sqrt(2)-normalized character itself
     rep = shadow_of(extremal_svoa(F(17, 2)))
-    assert rep.head(2) == [(F(1, 16), F(17, 16)), (F(17, 16), F(3977, 16))]
+    assert rep.head()[:2] == [(F(1, 16), F(17, 16)), (F(17, 16), F(3977, 16))]
     assert not rep.integral and rep.nonneg
     # integral rank beyond the existence range
     rep16 = shadow_of(extremal_svoa(16))
-    assert rep16.head(2) == [(F(0), F(-15, 16)), (F(1), 527)]
+    assert rep16.head()[:2] == [(F(0), F(-15, 16)), (F(1), 527)]
     assert not rep16.integral and not rep16.nonneg
     rep20 = shadow_of(extremal_svoa(20))
-    assert rep20.head(2) == [(F(1, 2), F(-35, 4)), (F(3, 2), 10310)]
+    assert rep20.head()[:2] == [(F(1, 2), F(-35, 4)), (F(3, 2), 10310)]
 
 
 def test_shadow_first_coeff_convention():
@@ -246,13 +246,6 @@ def test_voa_routes_match_oracle():
         same_decomposition(sol.series.truncate(sol.series.trunc - 2 * GRID),
                            c, "VOA")
         same_decomposition(sol.series, c, "SVOA")
-
-
-def test_windows_match_oracle():
-    for c, window in ((8, 2), (8, 30), (48, 7), (96, 20)):
-        same_solution(extremal_voa(c, window), old_routes.extremal_voa(c, window))
-    for c, window in ((F(1, 2), 1), (F(47, 2), 41), (33, 5), (F(101, 2), 30)):
-        same_solution(extremal_svoa(c, window), old_routes.extremal_svoa(c, window))
 
 
 def test_decompose_kind_validation():

@@ -7,6 +7,7 @@ from math import isqrt, lcm
 
 import pytest
 
+from svoa import lattices
 from svoa.cli import main
 from svoa.extremal import extremal_svoa, orbifold_character
 from svoa.lattices import (LATTICE_NAMES, EnumerationBudgetError, _block_work,
@@ -330,9 +331,12 @@ def test_leech_by_formula():
     assert x.first_difference(j_function(480) - 744, upto=4 * GRID) is None
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(lattices, "THETA_BUDGET", 50)
     with pytest.raises(EnumerationBudgetError):
-        theta_series(lattice_catalog("D12+"), 400, budget=50)
+        theta_series(lattice_catalog("D12+"), 400)
+    with pytest.raises(EnumerationBudgetError):
+        svoa_character(lattice_catalog("D12+"), 400)
 
 
 @pytest.mark.parametrize("name", ["Z5", "D3", "D6", "D4+", "E7", "E7E7+", "A15+"])

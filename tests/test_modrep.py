@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import old_routes
+from svoa import modrep
 from svoa.cyclo import cyc_one, sqrt2, zeta_pow
 from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, _diag_matrix,
                          _relations_hold, char_classes, character_rep,
@@ -61,10 +62,11 @@ def test_group_orders():
     assert G.order == 1152
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
     T, S = character_rep(Fraction(1, 2))
+    monkeypatch.setattr(modrep, "CLOSURE_CAP", 100)
     with pytest.raises(RuntimeError):
-        generate_group([S, T], cap=100)
+        generate_group([S, T])
 
 
 def test_molien_trivial_group():
@@ -257,10 +259,11 @@ def test_group_rejects_mixed_dimensions():
         generate_group([CycMatrix.identity(3), CycMatrix.identity(4)])
 
 
-def test_group_cap_bounds_infinite_closure():
+def test_group_cap_bounds_infinite_closure(monkeypatch):
+    monkeypatch.setattr(modrep, "CLOSURE_CAP", 500)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="cap 500"):
-        generate_group([CycMatrix([[1, 1], [0, 1]])], cap=500)
+        generate_group([CycMatrix([[1, 1], [0, 1]])])
     assert time.perf_counter() - start < 1
 
 
