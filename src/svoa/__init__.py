@@ -5,13 +5,13 @@ theory, extremal solutions and lattice theta series."""
 from .cyclo import Cyclo, sqrt2, zeta_pow
 from .qseries import GRID, QSeries, standard_series
 from .modrep import (CycMatrix, FusionTensor, MatrixGroup, character_rep,
-                     generate_group, molien, verlinde)
+                     fusion_type, generate_group, molien, verlinde)
 from .invariants import (MultiPoly, basis_invariants, evaluate_at_characters,
                          monster_polynomial, poly_act, solve_monster_polynomial)
-from .babymonster import baby_character, baby_identity_check, marginal_polynomial
+from .babymonster import baby_character, marginal_polynomial
 from .extremal import (ExtremalSolution, ShadowReport, Verdict, buermann_alpha,
                        classify, classify_range, decompose_character,
-                       extremal_svoa, extremal_voa, fusion_type, hw_enumerator,
+                       extremal_svoa, extremal_voa, hw_enumerator,
                        orbifold_character, shadow)
 from .lattices import Lattice, lattice_catalog, svoa_character, theta_series
 

@@ -4,19 +4,17 @@ Fixing one tensor slot of the rank-24 weight enumerator and summing over
 the 48 possible positions turns, by double counting, the degree-48
 multiplicities m_{i,j,k} into degree-47 marginals w_{i,j,k}; substituting
 the three rank-1/2 characters and dividing by 48 yields the component
-characters.  Their 0- and 1/2-sector sum is the closed form
-x^47 - 47 x^23 in the weight-1/2 generator x.
+characters, which are all this module computes.  Their 0- and 1/2-sector
+sum is the closed form x^47 - 47 x^23 in the weight-1/2 generator x, an
+identity the test suite checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import MultiPoly, evaluate_at_characters, monster_polynomial
-from .qseries import DEFAULT_TRUNC, GRID, QSeries, cbrt_j, chi_half
-
-SECTOR_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1, 16))
+from .qseries import DEFAULT_TRUNC, QSeries
 
 
 def marginal_polynomial(P: MultiPoly, sector: int) -> MultiPoly:
@@ -34,44 +32,14 @@ def marginal_polynomial(P: MultiPoly, sector: int) -> MultiPoly:
                       for m, c in P.terms.items() if m[sector]})
 
 
-def _character(w: MultiPoly, trunc) -> QSeries:
+def baby_character(sector: int, trunc=DEFAULT_TRUNC) -> QSeries:
+    """Character of the sector-l component module, l = 0, 1, 2: the
+    marginal evaluated at the characters, over 48; ArithmeticError if a
+    coefficient is not an integer."""
+    w = marginal_polynomial(monster_polynomial(), sector)
     x = evaluate_at_characters(w, trunc).scale(Fraction(1, 48))
     for n, c in x.coeffs.items():
         if Fraction(c).denominator != 1:
             raise ArithmeticError("non-integer coefficient %s at index %d: "
                                   "upstream enumerator is inconsistent" % (c, n))
     return x
-
-
-def baby_character(sector: int, trunc=DEFAULT_TRUNC) -> QSeries:
-    """Character of the sector-l component module, l = 0, 1, 2."""
-    return _character(marginal_polynomial(monster_polynomial(), sector), trunc)
-
-
-def baby_identity_check(trunc=DEFAULT_TRUNC) -> bool:
-    """Three-way identity: sector-0 plus sector-1 character equals
-    x^47 - 47 x^23 equals -(31/16) x^47 + (47/16) x^31 y for the
-    weight-1/2 generator x and weight-8 generator y."""
-    total = baby_character(0, trunc) + baby_character(1, trunc)
-    x = chi_half(trunc + 2 * GRID)
-    closed = x ** 47 - (x ** 23).scale(47)
-    y = cbrt_j(trunc + 2 * GRID)
-    alt = (x ** 47).scale(Fraction(-31, 16)) + ((x ** 31) * y).scale(Fraction(47, 16))
-    return (total.first_difference(closed) is None
-            and total.first_difference(alt) is None)
-
-
-@dataclass
-class BabyDecomposition:
-    sector: int
-    weight: Fraction
-    marginal: MultiPoly
-    character: QSeries
-
-
-def baby_decomposition(sector: int, trunc=DEFAULT_TRUNC) -> BabyDecomposition:
-    w = marginal_polynomial(monster_polynomial(), sector)
-    if any(v < 0 or Fraction(v).denominator != 1 for v in w.terms.values()):
-        raise ArithmeticError("marginal multiplicities must be nonnegative integers")
-    return BabyDecomposition(sector=sector, weight=SECTOR_WEIGHTS[sector],
-                             marginal=w, character=_character(w, trunc))

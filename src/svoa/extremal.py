@@ -348,7 +348,7 @@ def hw_enumerator(x: QSeries, c) -> HighestWeightEnum:
     return HighestWeightEnum(c=c, P=P, mu=mu)
 
 
-# -- orbifold and fusion type ----------------------------------------------------------
+# -- orbifold characters --------------------------------------------------------------
 
 
 def orbifold_character(theta: QSeries, c) -> QSeries:
@@ -370,14 +370,3 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
     twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))
     twisted = twisted.scale(Fraction(2 ** (cc // 2), 2))
     return untwisted.shift(-2 * cc) + twisted.shift(cc)
-
-
-def fusion_type(c) -> str:
-    """Fusion-ring case of the even part: 'a' (Ising) for c in Z+1/2,
-    'b' (Z/4) for odd c, 'c' (Z/2 x Z/2) for even c."""
-    c = Fraction(c)
-    if (2 * c).denominator != 1:
-        raise ValueError("rank %s is not half-integral" % c)
-    if c.denominator == 2:
-        return "a"
-    return "b" if int(c) % 2 else "c"

@@ -18,6 +18,7 @@ from math import comb
 
 from .cyclo import Cyclo, dot, power
 from .linalg import gauss_jordan
+from .modrep import character_rep
 from .qseries import (GRID, QSeries, _norm_coeff, check_work, chi_ising_0, chi_ising_16,
                       chi_ising_half)
 
@@ -50,11 +51,6 @@ class MultiPoly:
     @staticmethod
     def constant(c):
         return MultiPoly({(0, 0, 0): c})
-
-    @staticmethod
-    def variable(idx):
-        mono = tuple(1 if i == idx else 0 for i in range(NVARS))
-        return MultiPoly({mono: 1})
 
     def coeff(self, i, j, k):
         return self.terms.get((i, j, k), 0)
@@ -327,7 +323,6 @@ def check_invariance():
     A failure aborts with a diagnostic as it signals a broken action
     convention, not recoverable data.
     """
-    from .modrep import character_rep
     T, S = character_rep(Fraction(1, 2))
     for name, p in zip(("p1", "p2", "p3", "p4"), basis_invariants()):
         for gname, g in (("T", T), ("S", S)):
@@ -385,15 +380,6 @@ def degree48_basis():
     p1, p2, p3, p4 = basis_invariants()
     p1_8 = p1 ** 8
     return (p1_8 * p1_8, p1_8 * p2, p1_8 * p3, p2 * p2, p2 * p3, p3 * p3, p4)
-
-
-def basis_rank():
-    """Rank of the coefficient matrix of the degree-48 basis (linear
-    independence check)."""
-    basis = degree48_basis()
-    monomials = sorted(set().union(*[set(b.terms) for b in basis]))
-    rows = [[b.terms.get(m, 0) for b in basis] for m in monomials]
-    return len(gauss_jordan(rows)[1])
 
 
 class ConstraintError(ValueError):

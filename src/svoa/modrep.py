@@ -1,12 +1,13 @@
 """Finite matrix representations of the modular group on character vectors,
 Molien series, and Verlinde fusion.
 
-The rank c in (1/2)Z selects one of three representations on the span of
-the even/odd/twisted characters: a 3x3 one for c in Z+1/2 and two 4x4
-families for odd and even integer c.  T acts diagonally by the phases
-e^{2 pi i(-c/24 + h)}, S by the displayed orthogonal matrix; the residual
-sign freedom in the 4x4 S-matrices is resolved by requiring the modular
-relations S^4 = 1 and S^2 = (ST)^3 (which give (ST)^6 = 1).
+The fusion type of the rank c in (1/2)Z selects one of three
+representations on the span of the even/odd/twisted characters: a 3x3 one
+for c in Z+1/2 (type a) and two 4x4 families for odd (b) and even (c)
+integer c.  T acts diagonally by the phases e^{2 pi i(-c/24 + h)}, S by
+the displayed orthogonal matrix; the residual sign freedom in the 4x4
+S-matrices is resolved by requiring the modular relations S^4 = 1 and
+S^2 = (ST)^3 (which give (ST)^6 = 1).
 
 The group these generate is closed on the orbit of rows rather than by
 whole matrix products: each distinct row is multiplied by each generator
@@ -95,21 +96,32 @@ def _phase(e: Fraction) -> Cyclo:
     return zeta_pow(int(e48))
 
 
-def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
-    """Return (T, S) acting on the character span for rank c in (1/2)Z.
-
-    c in Z+1/2 gives the 3x3 matrices; odd c the 4x4 family with +-i/2
-    entries; even c the 4x4 family with +-1/2 entries.  The sign variant
-    is the unique one satisfying S^4 = 1 and S^2 = (ST)^3.
-    """
+def fusion_type(c) -> str:
+    """Fusion-ring case of the even part: 'a' (Ising) for c in Z+1/2,
+    'b' (Z/4) for odd c, 'c' (Z/2 x Z/2) for even c."""
     c = Fraction(c)
     if (2 * c).denominator != 1:
         raise ValueError("rank %s is not half-integral" % c)
+    if c.denominator == 2:
+        return "a"
+    return "b" if int(c) % 2 else "c"
+
+
+def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
+    """Return (T, S) acting on the character span for rank c in (1/2)Z.
+
+    The fusion type picks the representation: 'a' the 3x3 matrices, 'b'
+    the 4x4 family with +-i/2 entries, 'c' the 4x4 family with +-1/2
+    entries.  The sign variant is the unique one satisfying S^4 = 1 and
+    S^2 = (ST)^3.
+    """
+    c = Fraction(c)
+    kind = fusion_type(c)
     h = Fraction(1, 2)
     half = Fraction(1, 2)
     diag = [_phase(-c / 24), _phase(-c / 24 + h), _phase(-c / 24 + c / 8)]
     s2i = sqrt2() * Fraction(1, 2)  # 1/sqrt(2)
-    if c.denominator == 2:
+    if kind == "a":
         T = _diag_matrix(diag)
         S = CycMatrix([[half, half, s2i],
                        [half, half, -s2i],
@@ -118,9 +130,8 @@ def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
         return T, S
     # integer rank: duplicated twisted eigenvalue
     T = _diag_matrix(diag + [diag[2]])
-    i_unit = zeta_pow(12)
-    if int(c) % 2 == 1:
-        upper = i_unit * Fraction(1, 2)
+    if kind == "b":
+        upper = zeta_pow(12) * Fraction(1, 2)
     else:
         upper = Cyclo.from_rational(half)
     for sgn in (1, -1):
@@ -162,10 +173,6 @@ class MatrixGroup:
     determinant, which Molien's class keys read."""
 
     dets: dict  # CycMatrix -> Cyclo
-
-    @property
-    def elements(self):
-        return self.dets.keys()
 
     @property
     def order(self):
@@ -363,9 +370,3 @@ def verlinde(S: CycMatrix) -> FusionTensor:
             Ni.append(tuple(row))
         N.append(tuple(Ni))
     return FusionTensor(n=n, N=tuple(N))
-
-
-def quantum_dimensions(S: CycMatrix):
-    """The ratios S_i0 / S_00 (real cyclotomic numbers)."""
-    d0 = S.rows[0][0]
-    return [S.rows[i][0] / d0 for i in range(S.n)]

@@ -9,12 +9,12 @@ that the hot convolution loops run on machine integers.
 
 A series is a dense slot list: slots[k] is the coefficient at index
 lead + k*step, step the gcd of the support's offsets from the lead (0 for a
-single term).  The product and inverse kernels and the fractional-power
-recurrence run on the list as it is; an integer-step series never visits
-the 47 empty indices between two terms.  `_make` alone makes this form:
-slots[0] and slots[-1] nonzero, no integral Fraction, lead None for the
-zero series (read as 0 where no slot is placed).  Equal series therefore
-have equal (lead, step, slots, trunc).
+single term).  The product kernel and the one recurrence behind both the
+inverse and fractional powers, J.C.P. Miller's, run on the list as it is;
+an integer-step series never visits the 47 empty indices between two
+terms.  `_make` alone makes this form: slots[0] and slots[-1] nonzero, no
+integral Fraction, lead None for the zero series (read as 0 where no slot
+is placed).  Equal series therefore have equal (lead, step, slots, trunc).
 
 Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
@@ -28,7 +28,7 @@ built by the one product primitive `eta_quotient`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .cyclo import power
 
@@ -118,10 +118,6 @@ class QSeries:
     def one(trunc=DEFAULT_TRUNC):
         return QSeries({0: 1}, trunc)
 
-    @staticmethod
-    def monomial(index, coeff=1, trunc=DEFAULT_TRUNC):
-        return QSeries({index: coeff}, trunc)
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -139,9 +135,6 @@ class QSeries:
 
     def is_zero(self):
         return not self.slots
-
-    def support(self):
-        return list(self.coeffs)
 
     # -- ring operations -------------------------------------------------------
 
@@ -216,24 +209,7 @@ class QSeries:
         """Multiplicative inverse; the result is valid to trunc - 2*lead."""
         if not self.slots:
             raise ZeroDivisionError("inverse of the zero series")
-        e = self.lead
-        span = self.trunc - e
-        g = self.step or span
-        u0inv = _coeff_div(1, self.slots[0])
-        rest = [(m, c) for m, c in enumerate(self.slots) if m and c]
-        out = [u0inv] + [0] * ((span - 1) // g)
-        for k in range(1, len(out)):
-            # coefficient k of (unit part) * (partial inverse) must vanish
-            s = 0
-            for m, c in rest:
-                if m > k:
-                    break
-                y = out[k - m]
-                if y:
-                    s += c * y
-            if s:
-                out[k] = _norm_coeff(-(s * u0inv))
-        return QSeries._make(-e, g, out, self.trunc - 2 * e)
+        return self._miller(-1, 1, _coeff_div(1, self.slots[0]))
 
     def __pow__(self, n: int):
         if n == 0:
@@ -255,10 +231,7 @@ class QSeries:
     # -- fractional powers -----------------------------------------------------
 
     def pow_rational(self, r) -> "QSeries":
-        """a^r for rational r = p/q by J.C.P. Miller's power recurrence
-        (Knuth, TAOCP vol. 2, 4.7) on the unit part u, u_0 = 1:
-        q*n*y_n = sum_{k=1..n} ((p+q)*k - q*n) * u_k * y_(n-k), y = u^r,
-        in units of the stride of u.
+        """a^r for rational r by Miller's recurrence (`_miller`).
 
         Requires leading coefficient exactly 1; the shifted leading
         exponent r*lead must land back on the 1/48 grid.
@@ -268,44 +241,51 @@ class QSeries:
             return self ** int(r)
         if not self.slots:
             raise ZeroDivisionError("fractional power of the zero series")
-        e = self.lead
         if self.slots[0] != 1:
             raise ValueError("fractional power needs leading coefficient 1, got %s"
                              % (self.slots[0],))
-        re = r * e
-        if re.denominator != 1:
+        if (r * self.lead).denominator != 1:
             raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
-                            % (e, r))
-        p, q = r.numerator, r.denominator
-        span = self.trunc - e
+                            % (self.lead, r))
+        return self._miller(r.numerator, r.denominator, 1)
+
+    def _miller(self, p, q, y0):
+        """y0 (u/u_0)^(p/q) for the slots u of this nonzero series, valid as
+        far past its lead as the series is, by J.C.P. Miller's power
+        recurrence (Knuth, TAOCP vol. 2, 4.7) in units of the stride:
+        q*n*u_0*y_n = sum_{k=1..n} ((p+q)*k - q*n) * u_k * y_(n-k).
+        The (p+q)*k part is summed apart; at p/q = -1, the inverse, it is
+        empty.  The caller puts (p/q)*lead on the grid."""
+        e = p * self.lead // q
+        span = self.trunc - self.lead
         g = self.step or span
+        u0inv = _coeff_div(1, self.slots[0])
         rest = [(k, c) for k, c in enumerate(self.slots) if k and c]
-        out = [1] + [0] * ((span - 1) // g)
+        weighted = [(k, (p + q) * k * c) for k, c in rest] if p + q else []
+        out = [y0] + [0] * ((span - 1) // g)
         for n in range(1, len(out)):
+            # y_n = (sum (p+q)*k*u_k*y_(n-k) / (q*n) - sum u_k*y_(n-k)) / u_0
             s = 0
             for k, c in rest:
                 if k > n:
                     break
                 y = out[n - k]
                 if y:
-                    s += ((p + q) * k - q * n) * c * y
+                    s += c * y
+            if weighted:
+                w = 0
+                for k, c in weighted:
+                    if k > n:
+                        break
+                    y = out[n - k]
+                    if y:
+                        w += c * y
+                s -= _coeff_div(w, q * n)
             if s:
-                out[n] = _coeff_div(s, q * n)
-        return QSeries._make(int(re), g, out, int(re) + span)
+                out[n] = _norm_coeff(-(s * u0inv))
+        return QSeries._make(e, g, out, e + span)
 
     # -- comparison and display -------------------------------------------------
-
-    def agrees_with(self, other, upto=None) -> bool:
-        """Equality of coefficients up to the common truncation."""
-        return self.first_difference(other, upto) is None
-
-    def first_difference(self, other, upto=None):
-        """Smallest index where the two series differ, or None."""
-        t = min(self.trunc, other.trunc)
-        if upto is not None:
-            t = min(t, upto)
-        return min([n for n in set(self.coeffs) | set(other.coeffs)
-                    if n < t and self.coeff(n) != other.coeff(n)], default=None)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -344,16 +324,6 @@ class QSeries:
             raise ValueError("unsupported grid %r" % obj.get("grid"))
         return QSeries({int(n): Fraction(v) for n, v in obj["terms"]},
                        obj["trunc"])
-
-
-def denominator_profile(a: QSeries):
-    """Running lcm of coefficient denominators, in index order."""
-    out = []
-    acc = 1
-    for c in a.coeffs.values():
-        acc = lcm(acc, c.denominator)
-        out.append(acc)
-    return out
 
 
 # -- the catalog of standard expansions -------------------------------------------

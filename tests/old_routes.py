@@ -2,11 +2,11 @@
 them: the one-operation-at-a-time Q(zeta_48) routes behind svoa.cyclo's
 fused sum-of-products kernel, the per-kind extremal routes behind
 svoa.extremal's kind table, the one-off product routes behind
-svoa.qseries.eta_quotient, and the formal log/exp fractional power and the
+svoa.qseries.eta_quotient, the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
-direct Lagrange-Buermann coefficient, the PLU group action behind
-svoa.invariants.poly_act's balanced split, the whole-matrix
-breadth-first closure, the per-element minors tally and the per-class
+direct Lagrange-Buermann coefficient, the inverse loop that recurrence took
+over, the PLU group action behind svoa.invariants.poly_act's balanced
+split, the whole-matrix breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
 by determinant and lower half, and its once-per-degree fold, and the
 dict-backed q-series behind svoa.qseries's slot form.
@@ -30,8 +30,8 @@ from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
-from svoa.qseries import (DEFAULT_TRUNC, GRID, GridError, QSeries, cbrt_j, chi_half,
-                          cusp1_chi_half, theta_Z_half, vacuum)
+from svoa.qseries import (DEFAULT_TRUNC, GRID, GridError, QSeries, _coeff_div, cbrt_j,
+                          chi_half, cusp1_chi_half, theta_Z_half, vacuum)
 
 DEGREE = 16
 
@@ -547,7 +547,7 @@ def shadow(sol: ExtremalSolution) -> ShadowReport:
         term = (w ** m).scale(ar * (-1) ** r * two_pow)
         B = B + term
     neg = non_int = None
-    for n in B.support():
+    for n in B.coeffs:
         x = B.coeffs[n]
         e = Fraction(n, GRID) + c / 24
         if neg is None and x < 0:
@@ -967,7 +967,7 @@ def _log(u: QSeries) -> QSeries:
     if u.coeff(0) != 1:
         raise ValueError("log needs constant term 1, got %s" % (u.coeff(0),))
     du = u.derivative()
-    v = du * u.inv()  # valid to trunc - GRID
+    v = du * inv(u)  # valid to trunc - GRID; the replaced loop, not Miller's
     out = {}
     for n, c in v.coeffs.items():
         m = n + GRID
@@ -1021,3 +1021,33 @@ def buermann_alpha(c, r: int, kind: str) -> Fraction:
     if h.trunc <= 0:
         raise ExtremalError("truncation too small for r=%d" % r)
     return Fraction(h.coeff(0)) / factorial(r)
+
+
+# -- the inverse loop that Miller's power recurrence took over ------------------
+#
+# QSeries.inv as it ran on the slot form before it and pow_rational shared one
+# recurrence; `_norm_coeff` is this module's, the same on ints and Fractions.
+
+
+def inv(self) -> QSeries:
+    """Multiplicative inverse; the result is valid to trunc - 2*lead."""
+    if not self.slots:
+        raise ZeroDivisionError("inverse of the zero series")
+    e = self.lead
+    span = self.trunc - e
+    g = self.step or span
+    u0inv = _coeff_div(1, self.slots[0])
+    rest = [(m, c) for m, c in enumerate(self.slots) if m and c]
+    out = [u0inv] + [0] * ((span - 1) // g)
+    for k in range(1, len(out)):
+        # coefficient k of (unit part) * (partial inverse) must vanish
+        s = 0
+        for m, c in rest:
+            if m > k:
+                break
+            y = out[k - m]
+            if y:
+                s += c * y
+        if s:
+            out[k] = _norm_coeff(-(s * u0inv))
+    return QSeries._make(-e, g, out, self.trunc - 2 * e)

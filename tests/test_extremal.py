@@ -7,12 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 import old_routes
+from helpers import agree
 from svoa.extremal import (E_RANKS, ExtremalError, NotDecomposableError,
                            buermann_alpha, classify, classify_range,
                            decompose_character, extremal_svoa, extremal_voa,
-                           fusion_type, hw_enumerator, orbifold_character,
-                           shadow)
+                           hw_enumerator, orbifold_character, shadow)
 from svoa.lattices import lattice_catalog, theta_series
+from svoa.modrep import fusion_type
 from svoa.qseries import GRID, QSeries, E4, delta, j_function, vacuum
 
 
@@ -233,8 +234,8 @@ def test_svoa_routes_match_oracle():
             (old.c, old.s, old.first_coeff, old.integral, old.nonneg,
              old.first_negative, old.first_non_integral), c
         same_decomposition(sol.series, c, "SVOA")
-        same_decomposition(sol.series + QSeries.monomial(sol.series.trunc - 1,
-                                                         1, sol.series.trunc),
+        same_decomposition(sol.series + QSeries({sol.series.trunc - 1: 1},
+                                                sol.series.trunc),
                            c, "SVOA")
 
 
@@ -363,7 +364,7 @@ def test_orbifold_moonshine():
     assert theta.coeff(96) == 196560
     x = orbifold_character(theta, 24)
     target = j_function(T) - 744
-    assert x.first_difference(target, upto=5 * GRID) is None
+    assert agree(x.truncate(5 * GRID), target)
     assert x.coeff(0) == 0
 
 

@@ -7,6 +7,7 @@ from math import isqrt, lcm
 
 import pytest
 
+from helpers import agree
 from svoa import lattices
 from svoa.cli import main
 from svoa.extremal import extremal_svoa, orbifold_character
@@ -305,13 +306,13 @@ def test_catalog_errors():
 
 def test_theta_E8_is_E4():
     th = theta_series(lattice_catalog("E8"), 300)
-    assert th.agrees_with(E4(300))
+    assert agree(th, E4(300))
 
 
 def test_theta_multiplicativity():
     t1 = theta_series(lattice_catalog("Z1"), 240)
     t3 = theta_series(lattice_catalog("Z3"), 240)
-    assert t3.agrees_with(t1 ** 3)
+    assert agree(t3, t1 ** 3)
 
 
 def test_theta_basic_invariants():
@@ -328,7 +329,7 @@ def test_leech_by_formula():
     # consistency: the involution orbifold of the Leech theory has the
     # moonshine character
     x = orbifold_character(th, 24)
-    assert x.first_difference(j_function(480) - 744, upto=4 * GRID) is None
+    assert agree(x.truncate(4 * GRID), j_function(480) - 744)
 
 
 def test_budget_guard(monkeypatch):
@@ -391,7 +392,7 @@ def test_svoa_character_matches_extremal(name, c):
     trunc = int(-2 * F(c)) + 10 * GRID + 1  # through q^10 past the leading term
     x = svoa_character(L, trunc)
     sol = extremal_svoa(c)
-    assert x.first_difference(sol.series, upto=trunc) is None
+    assert agree(x.truncate(trunc), sol.series)
 
 
 def test_svoa_character_values():

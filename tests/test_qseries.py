@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 
 import old_routes
+from helpers import agree, denominator_profile
 from svoa import qseries as qs
 from svoa.cyclo import zeta_pow
 from svoa.qseries import GRID, GridError, QSeries
@@ -38,7 +39,7 @@ def test_eta_delta():
     delta = qs.delta(T)
     assert rel(delta, 48, [0, 48, 96, 144]) == [1, -24, 252, -1472]
     # eta * eta^23 equals the directly built discriminant
-    assert (eta * eta ** 23).agrees_with(delta)
+    assert agree(eta * eta ** 23, delta)
 
 
 def test_theta_series_of_Z():
@@ -61,10 +62,10 @@ def test_ising_characters():
     assert rel(xh, 23, [48 * k for k in range(6)]) == [1, 1, 1, 1, 2, 2]
     assert rel(x16, 2, [48 * k for k in range(5)]) == [1, 1, 1, 2, 2]
     ch = qs.chi_half(T)
-    assert (x0 + xh).agrees_with(ch)
-    assert (x0 - xh).agrees_with(qs.chi_half_minus(T))
+    assert agree(x0 + xh, ch)
+    assert agree(x0 - xh, qs.chi_half_minus(T))
     # the cusp-1 product formula gives the same 1/16-sector series
-    assert qs.cusp1_chi_half(T).agrees_with(x16)
+    assert agree(qs.cusp1_chi_half(T), x16)
 
 
 def test_chi_half_expansion():
@@ -82,10 +83,10 @@ def test_vacuum_and_generic_module():
 
 
 def test_standard_series_dispatch():
-    assert qs.standard_series("j", T).agrees_with(qs.j_function(T))
-    assert qs.standard_series("vacuum", T, c=24).agrees_with(qs.vacuum(24, T))
-    assert qs.standard_series("generic_module", T, c=24, h=2).agrees_with(
-        qs.generic_module(24, 2, T))
+    assert agree(qs.standard_series("j", T), qs.j_function(T))
+    assert agree(qs.standard_series("vacuum", T, c=24), qs.vacuum(24, T))
+    assert agree(qs.standard_series("generic_module", T, c=24, h=2),
+                 qs.generic_module(24, 2, T))
     with pytest.raises(ValueError):
         qs.standard_series("nonsense", T)
     with pytest.raises(ValueError):
@@ -139,9 +140,9 @@ def test_ring_laws_random():
         a, b, c = (_random_series(rng) for _ in range(3))
         lhs = (a * b) * c
         rhs = a * (b * c)
-        assert lhs.agrees_with(rhs)
-        assert (a * (b + c)).agrees_with(a * b + a * c)
-        assert (a + b).agrees_with(b + a)
+        assert agree(lhs, rhs)
+        assert agree(a * (b + c), a * b + a * c)
+        assert agree(a + b, b + a)
 
 
 def test_leibniz_rule_random():
@@ -150,7 +151,7 @@ def test_leibniz_rule_random():
         a, b = _random_series(rng), _random_series(rng)
         lhs = (a * b).derivative()
         rhs = a.derivative() * b + a * b.derivative()
-        assert lhs.agrees_with(rhs)
+        assert agree(lhs, rhs)
 
 
 def test_derivative_basics():
@@ -165,7 +166,7 @@ def test_derivative_basics():
 
 def test_integer_pow_rational_agrees():
     a = QSeries({0: 1, 48: 1}, T)
-    assert a.pow_rational(2).agrees_with(a * a)
+    assert agree(a.pow_rational(2), a * a)
     assert (a ** 2).coeff(48) == 2
 
 
@@ -179,7 +180,7 @@ def test_sqrt_binomial_oracle():
         assert got.coeff(48 * n) == coeff, n
         coeff = coeff * (r - n) / (n + 1)
     # denominators grow as powers of 2
-    prof = qs.denominator_profile(got)
+    prof = denominator_profile(got)
     assert prof[1] == 2 and prof[10] > prof[5] > 2
     assert all(p & (p - 1) == 0 for p in prof)  # powers of two
 
@@ -195,33 +196,33 @@ def test_pow_rational_grid_and_monic_errors():
 def test_chi_half_is_24th_root_of_j_theta():
     jt = qs.j_theta(T)
     ch = qs.chi_half(T)
-    assert jt.pow_rational(Fraction(1, 24)).agrees_with(ch)
-    assert (ch ** 24).agrees_with(jt)
+    assert agree(jt.pow_rational(Fraction(1, 24)), ch)
+    assert agree(ch ** 24, jt)
 
 
 def test_cbrt_j_routes_agree():
     cb = qs.cbrt_j(T)
-    assert (cb ** 3).agrees_with(qs.j_function(T))
-    assert qs.j_function(T).pow_rational(Fraction(1, 3)).agrees_with(cb)
+    assert agree(cb ** 3, qs.j_function(T))
+    assert agree(qs.j_function(T).pow_rational(Fraction(1, 3)), cb)
 
 
 def test_chi8_identity():
     ch = qs.chi_half(T)
     chi8 = ch ** 16 - (ch ** 8).inv().scale(16)
-    assert chi8.agrees_with(qs.cbrt_j(T))
+    assert agree(chi8, qs.cbrt_j(T))
 
 
 # -- denominator profiles -----------------------------------------------------------
 
 
 def test_denominator_profiles():
-    assert qs.denominator_profile(qs.j_function(T)) == \
-        [1] * len(qs.j_function(T).support())
+    assert denominator_profile(qs.j_function(T)) == \
+        [1] * len(qs.j_function(T).coeffs)
     root24 = qs.j_theta(T).pow_rational(Fraction(1, 24))
-    assert set(qs.denominator_profile(root24)) == {1}
+    assert set(denominator_profile(root24)) == {1}
     # the unit part of the theta quotient to a non-divisor-of-24 power
     u5 = qs.j_theta(48 * 31).shift(24).pow_rational(Fraction(1, 5))
-    prof = qs.denominator_profile(u5)
+    prof = denominator_profile(u5)
     assert prof[11] > prof[10] or prof[10] > prof[9]
     assert prof[-1] > prof[20] > prof[10] > 1
 
@@ -522,7 +523,7 @@ def test_canonical_form_is_route_independent():
         assert x == made[0]
     single = QSeries({0: 1, 7: 1}, 100) - QSeries({0: 1}, 100)
     assert (single.lead, single.step, single.slots) == (7, 0, [1])
-    zero = single - QSeries.monomial(7, trunc=100)
+    zero = single - QSeries({7: 1}, 100)
     assert (zero.lead, zero.step, zero.slots, zero.trunc) == (None, 0, [], 100)
 
 
@@ -550,6 +551,31 @@ def test_pow_rational_matches_log_exp_route(r):
         a = _strided_series(rng, rng.choice(STRIDES), ("int", "fraction")[trial % 2],
                             lead=lead, monic=True)
         assert _same(a.pow_rational(r), old_routes.pow_rational(a, r)), (trial, a)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_inverse_runs_the_shared_miller_recurrence(kind):
+    # inv is the recurrence at p/q = -1 started at 1/u_0: the loop it replaced
+    # for every unit u_0; the square root of the monic unit part squares back,
+    # which the (p+q)*k weights carry
+    rng = random.Random(7 + len(kind))
+    for u0 in (1, -1, 2, Fraction(3, 2)):
+        for stride in (1, 24, 48):
+            for trial in range(8):
+                x = _strided_series(rng, stride, kind)
+                x = QSeries({**x.coeffs, x.lead: u0}, x.trunc)
+                _check(x.inv(), old_routes.inv(x))
+                unit = x.shift(-x.lead).scale(qs._coeff_div(1, u0))
+                root = unit.pow_rational(Fraction(1, 2))
+                assert _same(root, old_routes.pow_rational(unit, Fraction(1, 2)))
+                assert agree(root * root, unit), (u0, stride, trial)
+    for route, message in ((QSeries.inv, "inverse of the zero series"),
+                           (old_routes.inv, "inverse of the zero series"),
+                           (lambda x: x.pow_rational(Fraction(1, 2)),
+                            "fractional power of the zero series")):
+        with pytest.raises(ZeroDivisionError) as exc:
+            route(QSeries.zero(T))
+        assert str(exc.value) == message
 
 
 def test_pow_rational_errors_match_log_exp_route():
