@@ -361,12 +361,11 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
         raise ValueError("theta series must start with 1")
     cc = int(c)
     t = theta.trunc
-    check_work(70, t + 2 * cc)  # four eta quotients and their powers: 70 measured
-    eul, one_plus, half_minus, half_plus = (
-        eta_quotient(exps, t + 2 * cc) for exps in
+    check_work(70, t + 2 * cc)  # four eta quotients to the -c: at most 25 measured
+    # each to t - 2c, where theta * eta^-c is cut
+    eta_c, one_plus, half_minus, half_plus = (
+        eta_quotient([(step, -cc * e) for step, e in exps], t - 2 * cc) for exps in
         (((GRID, 1),), ONE_PLUS_QN, HALF_STEPS_MINUS, HALF_STEPS_PLUS))
-    untwisted = (theta * (eul ** (-cc)) + one_plus ** (-cc)).scale(Fraction(1, 2))
-    sign = (-1) ** (cc // 8)
-    twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))
-    twisted = twisted.scale(Fraction(2 ** (cc // 2), 2))
-    return untwisted.shift(-2 * cc) + twisted.shift(cc)
+    untwisted = (theta * eta_c + one_plus).scale(Fraction(1, 2))
+    twisted = half_minus + half_plus.scale((-1) ** (cc // 8))
+    return untwisted + twisted.scale(Fraction(2 ** (cc // 2), 2))

@@ -5,9 +5,9 @@ The fusion type of the rank c in (1/2)Z selects one of three
 representations on the span of the even/odd/twisted characters: a 3x3 one
 for c in Z+1/2 (type a) and two 4x4 families for odd (b) and even (c)
 integer c.  T acts diagonally by the phases e^{2 pi i(-c/24 + h)}, S by
-the displayed orthogonal matrix; the residual sign freedom in the 4x4
-S-matrices is resolved by requiring the modular relations S^4 = 1 and
-S^2 = (ST)^3 (which give (ST)^6 = 1).
+the displayed orthogonal matrix.  In the 4x4 S-matrices the twisted block
+carries S_22 = e^(-pi i c/2)/2, the sign that the modular relations S^4 = 1
+and S^2 = (ST)^3 (which give (ST)^6 = 1) select; every rank checks them.
 
 The group these generate is closed on the orbit of rows rather than by
 whole matrix products: each distinct row is multiplied by each generator
@@ -112,37 +112,28 @@ def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
 
     The fusion type picks the representation: 'a' the 3x3 matrices, 'b'
     the 4x4 family with +-i/2 entries, 'c' the 4x4 family with +-1/2
-    entries.  The sign variant is the unique one satisfying S^4 = 1 and
-    S^2 = (ST)^3.
+    entries, S_22 = e^(-pi i c/2)/2.  ArithmeticError if S^4 = 1 or
+    S^2 = (ST)^3 fails.
     """
     c = Fraction(c)
     kind = fusion_type(c)
-    h = Fraction(1, 2)
-    half = Fraction(1, 2)
-    diag = [_phase(-c / 24), _phase(-c / 24 + h), _phase(-c / 24 + c / 8)]
-    s2i = sqrt2() * Fraction(1, 2)  # 1/sqrt(2)
+    half = Fraction(1, 2)  # also the weight h of the odd sector
+    diag = [_phase(-c / 24), _phase(-c / 24 + half), _phase(-c / 24 + c / 8)]
+    s2i = sqrt2() * half  # 1/sqrt(2)
     if kind == "a":
         T = _diag_matrix(diag)
         S = CycMatrix([[half, half, s2i],
                        [half, half, -s2i],
                        [s2i, -s2i, cyc_zero()]])
-        _check_relations(S, T)
-        return T, S
-    # integer rank: duplicated twisted eigenvalue
-    T = _diag_matrix(diag + [diag[2]])
-    if kind == "b":
-        upper = zeta_pow(12) * Fraction(1, 2)
-    else:
-        upper = Cyclo.from_rational(half)
-    for sgn in (1, -1):
-        u = upper * sgn
+    else:  # integer rank: duplicated twisted eigenvalue
+        T = _diag_matrix(diag + [diag[2]])
+        u = zeta_pow(-12 * int(c)) * -half  # -S_22
         S = CycMatrix([[half, half, half, half],
                        [half, half, -half, -half],
                        [half, -half, -u, u],
                        [half, -half, u, -u]])
-        if _relations_hold(S, T):
-            return T, S
-    raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)
+    _check_relations(S, T)
+    return T, S
 
 
 def _diag_matrix(entries):
@@ -151,14 +142,10 @@ def _diag_matrix(entries):
                        for j in range(n)] for i in range(n)])
 
 
-def _relations_hold(S, T) -> bool:
+def _check_relations(S, T):
     """S^4 = 1 and S^2 = (ST)^3 in five products; (ST)^6 = S^4 follows."""
     S2, ST = S * S, S * T
-    return (S2 * S2).is_identity() and S2 == ST * ST * ST
-
-
-def _check_relations(S, T):
-    if not _relations_hold(S, T):
+    if not ((S2 * S2).is_identity() and S2 == ST * ST * ST):
         raise ArithmeticError("modular relations S^4=1, S^2=(ST)^3 violated")
 
 

@@ -9,20 +9,22 @@ that the hot convolution loops run on machine integers.
 
 A series is a dense slot list: slots[k] is the coefficient at index
 lead + k*step, step the gcd of the support's offsets from the lead (0 for a
-single term).  The product kernel and the one recurrence behind both the
-inverse and fractional powers, J.C.P. Miller's, run on the list as it is;
-an integer-step series never visits the 47 empty indices between two
-terms.  `_make` alone makes this form: slots[0] and slots[-1] nonzero, no
-integral Fraction, lead None for the zero series (read as 0 where no slot
-is placed).  Equal series therefore have equal (lead, step, slots, trunc).
+single term).  The product kernel and J.C.P. Miller's power recurrence,
+behind every exponent of `**` but a positive integer (a binary power of
+products), run on the list as it is; an integer-step series never visits
+the 47 empty indices between two terms.  `_make` alone makes this form:
+slots[0] and slots[-1] nonzero, no integral Fraction, lead None for the
+zero series (read as 0 where no slot is placed).  Equal series therefore
+have equal (lead, step, slots, trunc).  A scalar multiplies a series only
+through `scale`.
 
 Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
 bound (``min`` for +/-, the lead-shifted ``min`` for products).
 
 Every infinite product in the catalog is an eta quotient, a product of
-dilated Euler products prod_{n>=1} (1 - q^(n*s/48)) to integer powers,
-built by the one product primitive `eta_quotient`.
+eta(q^(s/48)) = q^(s/1152) prod_{n>=1} (1 - q^(n*s/48)) to integer powers,
+prefactor included, built by the one product primitive `eta_quotient`.
 """
 
 from __future__ import annotations
@@ -139,8 +141,6 @@ class QSeries:
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries({0: other}, self.trunc)
         t = min(self.trunc, other.trunc)
         if not self.slots or not other.slots:
             return (self if self.slots else other).truncate(t)
@@ -157,23 +157,16 @@ class QSeries:
                 k += m
         return QSeries._make(e, g, out, t)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QSeries._make(self.lead, self.step, [-c for c in self.slots], self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, s):
         return QSeries._make(self.lead, self.step, [c * s for c in self.slots], self.trunc)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         t = min(self.trunc + (other.trunc if other.lead is None else other.lead),
                 other.trunc + (self.trunc if self.lead is None else self.lead))
         a, b = (self, other) if len(self.slots) <= len(other.slots) else (other, self)
@@ -195,8 +188,6 @@ class QSeries:
                     out[k] += x * y
         return QSeries._make(e, g, out, t)
 
-    __rmul__ = __mul__
-
     def shift(self, dindex):
         """Multiply by q^(dindex/48)."""
         return QSeries._make((self.lead or 0) + dindex, self.step, self.slots,
@@ -207,38 +198,20 @@ class QSeries:
 
     def inv(self):
         """Multiplicative inverse; the result is valid to trunc - 2*lead."""
-        if not self.slots:
-            raise ZeroDivisionError("inverse of the zero series")
-        return self._miller(-1, 1, _coeff_div(1, self.slots[0]))
+        return self ** -1
 
-    def __pow__(self, n: int):
-        if n == 0:
-            return QSeries.one(self.trunc - (self.lead or 0))
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n)
-
-    def derivative(self, step_index=GRID):
-        """Formal derivative d/dp with p = q^(step_index/48).
-
-        step_index=48 is d/dq; step_index=24 differentiates with respect
-        to q^(1/2).
-        """
-        e, g = self.lead or 0, self.step
-        slots = [c * Fraction(e + g * k, step_index) for k, c in enumerate(self.slots)]
-        return QSeries._make(e - step_index, g, slots, self.trunc - step_index)
-
-    # -- fractional powers -----------------------------------------------------
-
-    def pow_rational(self, r) -> "QSeries":
-        """a^r for rational r by Miller's recurrence (`_miller`).
-
-        Requires leading coefficient exactly 1; the shifted leading
-        exponent r*lead must land back on the 1/48 grid.
-        """
-        r = Fraction(r)
-        if r.denominator == 1:
-            return self ** int(r)
+    def __pow__(self, r):
+        """self^r for an int or Fraction r: a positive integer by binary
+        powers, any other exponent by one pass of Miller's recurrence
+        (`_miller`) seeded with u_0^r.  A fractional power needs leading
+        coefficient exactly 1, and r*lead must land back on the 1/48 grid."""
+        p, q = r.numerator, r.denominator
+        if q == 1:
+            if p > 0:
+                return power(self, p)
+            if not self.slots:
+                raise ZeroDivisionError("inverse of the zero series")
+            return self._miller(p, 1, _coeff_div(1, self.slots[0] ** -p))
         if not self.slots:
             raise ZeroDivisionError("fractional power of the zero series")
         if self.slots[0] != 1:
@@ -247,7 +220,11 @@ class QSeries:
         if (r * self.lead).denominator != 1:
             raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
                             % (self.lead, r))
-        return self._miller(r.numerator, r.denominator, 1)
+        return self._miller(p, q, 1)
+
+    def pow_rational(self, r) -> "QSeries":
+        """self ** r under the name perfbench/tracing.py traces."""
+        return self ** r
 
     def _miller(self, p, q, y0):
         """y0 (u/u_0)^(p/q) for the slots u of this nonzero series, valid as
@@ -284,6 +261,16 @@ class QSeries:
             if s:
                 out[n] = _norm_coeff(-(s * u0inv))
         return QSeries._make(e, g, out, e + span)
+
+    def derivative(self, step_index=GRID):
+        """Formal derivative d/dp with p = q^(step_index/48).
+
+        step_index=48 is d/dq; step_index=24 differentiates with respect
+        to q^(1/2).
+        """
+        e, g = self.lead or 0, self.step
+        slots = [c * Fraction(e + g * k, step_index) for k, c in enumerate(self.slots)]
+        return QSeries._make(e - step_index, g, slots, self.trunc - step_index)
 
     # -- comparison and display -------------------------------------------------
 
@@ -342,25 +329,35 @@ def euler_product(trunc, step=GRID) -> QSeries:
 
 
 def eta_quotient(exps, trunc) -> QSeries:
-    """prod over (step, e) in `exps` of euler_product(trunc, step) ** e, with
-    the factors of negative e inverted by one `inv`; exact to `trunc`."""
-    num, den = QSeries.one(trunc), QSeries.one(trunc)
+    """prod over (step, e) in `exps` of eta(q^(step/48)) ** e, exact to `trunc`:
+    the prefactor q^(sum e*step/1152), at grid index lead = sum e*step/24,
+    times the dilated Euler products, the factors of negative e inverted by
+    one `inv`.  GridError if lead is not integral; the zero series if
+    trunc <= lead."""
+    lead, off = divmod(sum(step * e for step, e in exps), 24)
+    if off:
+        raise GridError("eta quotient prefactor q^(%d/1152) leaves the 1/48 grid"
+                        % (24 * lead + off))
+    if trunc <= lead:
+        return QSeries.zero(trunc)
+    t = trunc - lead
+    num, den = QSeries({lead: 1}, trunc), QSeries.one(t)
     for step, e in exps:
         if e > 0:
-            num = num * euler_product(trunc, step) ** e
+            num = num * euler_product(t, step) ** e
         else:
-            den = den * euler_product(trunc, step) ** -e
+            den = den * euler_product(t, step) ** -e
     return num * den.inv()
 
 
-# (step, exponent) pairs of the products that recur in the catalog
-HALF_STEPS_PLUS = ((GRID, 2), (24, -1), (96, -1))  # prod (1 + q^(n-1/2))
-HALF_STEPS_MINUS = ((24, 1), (GRID, -1))  # prod (1 - q^(n-1/2))
-ONE_PLUS_QN = ((96, 1), (GRID, -1))  # prod (1 + q^n)
+# (step, exponent) pairs of the eta quotients that recur in the catalog
+HALF_STEPS_PLUS = ((GRID, 2), (24, -1), (96, -1))  # q^(-1/48) prod (1 + q^(n-1/2))
+HALF_STEPS_MINUS = ((24, 1), (GRID, -1))  # q^(-1/48) prod (1 - q^(n-1/2))
+ONE_PLUS_QN = ((96, 1), (GRID, -1))  # q^(1/24) prod (1 + q^n)
 
 
 def eta(trunc=DEFAULT_TRUNC) -> QSeries:
-    return euler_product(trunc - 2).shift(2)
+    return eta_quotient(((GRID, 1),), trunc)
 
 
 def theta_Z(trunc=DEFAULT_TRUNC) -> QSeries:
@@ -427,11 +424,11 @@ def j_theta(trunc=DEFAULT_TRUNC) -> QSeries:
 
 
 def chi_half(trunc=DEFAULT_TRUNC) -> QSeries:
-    return eta_quotient(HALF_STEPS_PLUS, trunc + 1).shift(-1)
+    return eta_quotient(HALF_STEPS_PLUS, trunc)
 
 
 def chi_half_minus(trunc=DEFAULT_TRUNC) -> QSeries:
-    return eta_quotient(HALF_STEPS_MINUS, trunc + 1).shift(-1)
+    return eta_quotient(HALF_STEPS_MINUS, trunc)
 
 
 def _fermion_sector(trunc, parity) -> QSeries:
@@ -450,7 +447,7 @@ def chi_ising_half(trunc=DEFAULT_TRUNC) -> QSeries:
 
 
 def cusp1_chi_half(trunc=DEFAULT_TRUNC) -> QSeries:
-    return eta_quotient(ONE_PLUS_QN, trunc - 2).shift(2)
+    return eta_quotient(ONE_PLUS_QN, trunc)
 
 
 def chi_ising_16(trunc=DEFAULT_TRUNC) -> QSeries:
@@ -461,22 +458,19 @@ def chi_ising_16(trunc=DEFAULT_TRUNC) -> QSeries:
 
 def vacuum(c, trunc=DEFAULT_TRUNC) -> QSeries:
     """q^(-c/24) prod_{n>=2} 1/(1-q^n), the vacuum module character (c > 1)."""
-    c = Fraction(c)
-    shift = Fraction(-2 * c)
-    if shift.denominator != 1:
-        raise GridError("rank %s is not half-integral" % c)
-    t = trunc - int(shift)
-    body = euler_product(t).inv() * QSeries({0: 1, GRID: -1}, t)
-    return body.shift(int(shift))
+    x = generic_module(c, 0, trunc)
+    return x - x.shift(GRID)  # x * (1 - q)
 
 
 def generic_module(c, h, trunc=DEFAULT_TRUNC) -> QSeries:
-    """q^(-c/24+h) prod_{n>=1} 1/(1-q^n)."""
-    shift = Fraction(h) * GRID - Fraction(2 * Fraction(c))
-    if shift.denominator != 1:
+    """q^(-c/24+h) prod_{n>=1} 1/(1-q^n); the zero series if trunc is not
+    past the lead."""
+    lead = Fraction(h) * GRID - 2 * Fraction(c)
+    if lead.denominator != 1:
         raise GridError("offset -c/24+h off the 1/48 grid")
-    t = trunc - int(shift)
-    return euler_product(t).inv().shift(int(shift))
+    if trunc <= lead:
+        return QSeries.zero(trunc)
+    return euler_product(trunc - int(lead)).inv().shift(int(lead))
 
 
 _CATALOG = {

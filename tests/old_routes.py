@@ -5,7 +5,9 @@ svoa.extremal's kind table, the one-off product routes behind
 svoa.qseries.eta_quotient, the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
 direct Lagrange-Buermann coefficient, the inverse loop that recurrence took
-over, the PLU group action behind svoa.invariants.poly_act's balanced
+over, the inverse-then-binary negative powers, the separate pow_rational and
+the prefactor-free eta quotient behind svoa.qseries's one `**`, the sign
+search behind svoa.modrep's closed-form S_22, the PLU group action behind svoa.invariants.poly_act's balanced
 split, the whole-matrix breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
 by determinant and lower half, and its once-per-degree fold, and the
@@ -25,13 +27,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, floor, gcd
 
-from svoa.cyclo import Cyclo, cyc_zero, dot, power
+from svoa.cyclo import Cyclo, cyc_zero, dot, power, sqrt2, zeta_pow
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
+from svoa.modrep import CycMatrix, _diag_matrix, _phase, fusion_type
 from svoa.qseries import (DEFAULT_TRUNC, GRID, GridError, QSeries, _coeff_div, cbrt_j,
                           chi_half, cusp1_chi_half, theta_Z_half, vacuum)
+from svoa.qseries import euler_product as dilated_euler_product
 
 DEGREE = 16
 
@@ -1051,3 +1055,101 @@ def inv(self) -> QSeries:
         if s:
             out[k] = _norm_coeff(-(s * u0inv))
     return QSeries._make(-e, g, out, self.trunc - 2 * e)
+
+
+# -- the power routes that one `**` took over -----------------------------------
+#
+# QSeries.inv, __pow__ and pow_rational as they were before every exponent but
+# a positive integer ran one Miller pass seeded with u_0^r: a negative power
+# was the inverse raised by binary squaring, and pow_rational sent integers to
+# `**`.  Each takes the series as its first argument and calls the others here.
+
+
+def miller_inv(self):
+    """Multiplicative inverse; the result is valid to trunc - 2*lead."""
+    if not self.slots:
+        raise ZeroDivisionError("inverse of the zero series")
+    return self._miller(-1, 1, _coeff_div(1, self.slots[0]))
+
+
+def binary_pow(self, n: int):
+    if n == 0:
+        return QSeries.one(self.trunc - (self.lead or 0))
+    if n < 0:
+        return binary_pow(miller_inv(self), -n)
+    return power(self, n)
+
+
+def miller_pow_rational(self, r) -> QSeries:
+    """a^r for rational r by Miller's recurrence (`_miller`).
+
+    Requires leading coefficient exactly 1; the shifted leading
+    exponent r*lead must land back on the 1/48 grid.
+    """
+    r = Fraction(r)
+    if r.denominator == 1:
+        return binary_pow(self, int(r))
+    if not self.slots:
+        raise ZeroDivisionError("fractional power of the zero series")
+    if self.slots[0] != 1:
+        raise ValueError("fractional power needs leading coefficient 1, got %s"
+                         % (self.slots[0],))
+    if (r * self.lead).denominator != 1:
+        raise GridError("leading exponent %s/48 times %s leaves the 1/48 grid"
+                        % (self.lead, r))
+    return self._miller(r.numerator, r.denominator, 1)
+
+
+def eta_quotient(exps, trunc) -> QSeries:
+    """prod over (step, e) in `exps` of euler_product(trunc, step) ** e, with
+    the factors of negative e inverted by one `inv`; exact to `trunc`.  No
+    prefactor: the callers shifted by it."""
+    num, den = QSeries.one(trunc), QSeries.one(trunc)
+    for step, e in exps:
+        if e > 0:
+            num = num * binary_pow(dilated_euler_product(trunc, step), e)
+        else:
+            den = den * binary_pow(dilated_euler_product(trunc, step), -e)
+    return num * miller_inv(den)
+
+
+# -- the sign search that the closed-form S_22 replaced ---------------------------
+
+
+def _relations_hold(S, T) -> bool:
+    """S^4 = 1 and S^2 = (ST)^3 in five products; (ST)^6 = S^4 follows."""
+    S2, ST = S * S, S * T
+    return (S2 * S2).is_identity() and S2 == ST * ST * ST
+
+
+def character_rep(c):
+    """(T, S) for rank c in (1/2)Z, the 4x4 sign variant found by trying both."""
+    c = Fraction(c)
+    kind = fusion_type(c)
+    h = Fraction(1, 2)
+    half = Fraction(1, 2)
+    diag = [_phase(-c / 24), _phase(-c / 24 + h), _phase(-c / 24 + c / 8)]
+    s2i = sqrt2() * Fraction(1, 2)  # 1/sqrt(2)
+    if kind == "a":
+        T = _diag_matrix(diag)
+        S = CycMatrix([[half, half, s2i],
+                       [half, half, -s2i],
+                       [s2i, -s2i, cyc_zero()]])
+        if not _relations_hold(S, T):
+            raise ArithmeticError("modular relations S^4=1, S^2=(ST)^3 violated")
+        return T, S
+    # integer rank: duplicated twisted eigenvalue
+    T = _diag_matrix(diag + [diag[2]])
+    if kind == "b":
+        upper = zeta_pow(12) * Fraction(1, 2)
+    else:
+        upper = Cyclo.from_rational(half)
+    for sgn in (1, -1):
+        u = upper * sgn
+        S = CycMatrix([[half, half, half, half],
+                       [half, half, -half, -half],
+                       [half, -half, -u, u],
+                       [half, -half, u, -u]])
+        if _relations_hold(S, T):
+            return T, S
+    raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)

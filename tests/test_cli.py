@@ -127,6 +127,16 @@ def test_series_generic_module(capsys):
     assert out.strip().startswith("q + q^2")
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "generic_module", "--rank", "1/2", "--weight", "2"],
+    ["series", "vacuum", "--rank", "-24"],
+])
+def test_series_with_an_empty_window_is_zero(capsys, argv):
+    # each leads at or past q^1, the truncation of order 1
+    code, out, err = run(capsys, "--order", "1", *argv)
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
 def test_baby_sector(capsys):
     code, out, _ = run(capsys, "--format", "json", "--order", "5",
                        "baby", "--sector", "1")

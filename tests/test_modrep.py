@@ -9,8 +9,8 @@ import old_routes
 from svoa import modrep
 from svoa.cyclo import cyc_one, sqrt2, zeta_pow
 from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, _diag_matrix,
-                         _relations_hold, char_classes, character_rep,
-                         generate_group, molien, verlinde)
+                         char_classes, character_rep, generate_group, molien,
+                         verlinde)
 from svoa.qseries import GRID
 
 
@@ -164,9 +164,11 @@ def test_relations_take_five_products(monkeypatch):
 
     monkeypatch.setattr(CycMatrix, "__mul__", counted)
     for c in (Fraction(1, 2), 1, 2):
-        T, S = character_rep(c)
         count[0] = 0
-        assert _relations_hold(S, T)
+        T, S = character_rep(c)  # checks the relations at every rank
+        assert count[0] == 5
+        count[0] = 0
+        _check_relations(S, T)
         assert count[0] == 5
 
 
@@ -174,6 +176,26 @@ def test_broken_relations_are_arithmetic_errors():
     with pytest.raises(ArithmeticError, match="modular relations"):
         _check_relations(CycMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
                          CycMatrix.identity(3))
+
+
+RANKS_MOD_24 = [Fraction(n, 2) for n in range(48)]
+
+
+@pytest.mark.parametrize("c", RANKS_MOD_24)
+def test_closed_form_sign_matches_sign_search(c):
+    # S_22 = e^(-pi i c/2)/2 is the variant the search over both signs picked
+    T, S = character_rep(c)
+    oldT, oldS = old_routes.character_rep(c)
+    assert (T, S) == (oldT, oldS)
+    if S.n == 4:
+        assert S.rows[2][2] == zeta_pow(-12 * int(c)) * Fraction(1, 2)
+        # the other sign of the twisted block breaks the relations
+        flip = [list(r) for r in S.rows]
+        for i in (2, 3):
+            for j in (2, 3):
+                flip[i][j] = -flip[i][j]
+        with pytest.raises(ArithmeticError, match="modular relations"):
+            _check_relations(CycMatrix(flip), T)
 
 
 # -- the fused kernel against the per-operation routes ---------------------------
