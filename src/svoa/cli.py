@@ -261,9 +261,8 @@ def run(argv) -> int:
     elif cmd == "theta":
         out = _series(lattices.theta_series(args.lattice, trunc))
     else:  # orbifold
-        L = args.lattice
-        x = extremal.orbifold_character(lattices.theta_series(L, trunc), L.dim)
-        out = _series(x.truncate(-2 * L.dim + trunc))
+        theta = lattices.theta_series(args.lattice, trunc)
+        out = _series(extremal.orbifold_character(theta, args.lattice.dim))
 
     obj, text = out
     lines = [json.dumps(obj)] if args.format == "json" else text()

@@ -91,8 +91,10 @@ def _powers(base: QSeries, top: int, drop: int, k: int):
 
 
 def _basis(c: Fraction, kd, rel: int):
-    """The generator powers of rank c, each valid rel past its lead."""
-    return _powers(kd.gen(rel + GRID), int(c / kd.unit), kd.drop, int(c // kd.kdiv))
+    """The generator powers of rank c, each valid rel past its lead; the
+    generator has rank kd.unit, so it leads at index -2 * kd.unit."""
+    return _powers(kd.gen(int(rel - 2 * kd.unit)), int(c / kd.unit), kd.drop,
+                   int(c // kd.kdiv))
 
 
 def _peel(x: QSeries, basis, lead: int, step: int):
@@ -110,18 +112,25 @@ def _peel(x: QSeries, basis, lead: int, step: int):
     return a, partial
 
 
+def _sizes(c: Fraction, kd):
+    """k, the last step of A and the working order rel of the rank-c solve,
+    refused past WORK_BUDGET before any series is built; none decreases in c."""
+    k = int(c // kd.kdiv)
+    window = k + kd.margin
+    rel = GRID * max(k + 3, window * kd.step // GRID + 2, 11)
+    work = (k + 1) * (rel // kd.step) ** 2
+    if work > WORK_BUDGET:
+        raise ExtremalError("rank %s needs about %d coefficient products, over "
+                            "the budget of %d" % (c, work, WORK_BUDGET))
+    return k, window, rel
+
+
 def _extremal(c: Fraction, kind: str) -> ExtremalSolution:
     """Match the vacuum character through the first k steps beyond its
     leading term; A_n are the coefficients of the ratio to the vacuum
     character at steps k+1 .. k + margin of the kind."""
     kd = _KINDS[kind]
-    k = int(c // kd.kdiv)
-    window = k + kd.margin
-    rel = GRID * max(k + 3, window * kd.step // GRID + 2, 11)
-    work = (k + 1) * (rel // kd.step) ** 2  # refused before any series is built
-    if work > WORK_BUDGET:
-        raise ExtremalError("rank %s needs about %d coefficient products, over "
-                            "the budget of %d" % (c, work, WORK_BUDGET))
+    k, window, rel = _sizes(c, kd)
     lead = int(-2 * c)
     vac = vacuum(c, lead + rel)
     a, series = _peel(vac, _basis(c, kd, rel), lead, kd.step)
@@ -304,11 +313,13 @@ def classify(c, cmax=56) -> Verdict:
 
 
 def classify_range(cfrom, cto, cmax=56):
-    """Verdicts on the half-integer grid, ordered by rank."""
+    """Verdicts on the half-integer grid, ordered by rank; a top rank over
+    WORK_BUDGET is refused before the first solve."""
     cfrom, cto = Fraction(cfrom), Fraction(cto)
     if cfrom > cto:
         raise ExtremalError("empty rank range %s .. %s" % (cfrom, cto))
     steps = floor(2 * (cto - cfrom))
+    _sizes(cfrom + Fraction(steps, 2), _KINDS[SVOA])
     return [classify(cfrom + Fraction(n, 2), cmax=cmax) for n in range(steps + 1)]
 
 

@@ -83,16 +83,12 @@ class MultiPoly:
         return MultiPoly({m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self.scale(other)
         out = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
                 m = (i1 + i2, j1 + j2, k1 + k2)
                 out[m] = out.get(m, 0) + c1 * c2
         return MultiPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:

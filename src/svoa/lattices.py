@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .qseries import GRID, QSeries, E4, check_work, delta, eta
+from .qseries import GRID, QSeries, E4, check_work, delta, eta_quotient
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -177,9 +177,8 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     if trunc is None:
         trunc = 5 * GRID
     if L.name == "Leech":
-        t = max(trunc, 2 * GRID)
-        check_work(8, t)  # E4^3 and Delta = eta^24: 7 products measured
-        return (E4(t) ** 3 - delta(t).scale(720)).truncate(trunc)
+        check_work(8, trunc)  # E4^3 and Delta = eta^24: 7 products measured
+        return E4(trunc) ** 3 - delta(trunc).scale(720)
     d = lcm(*(Fraction(a).denominator
               for coset in L.cosets for _, a, _ in coset))
     d2 = d * d
@@ -210,8 +209,5 @@ def svoa_character(L: Lattice, trunc=None) -> QSeries:
     if trunc is None:
         trunc = 4 * GRID
     n = L.dim
-    # character leads at q^(-n/24); extend theta so the quotient reaches trunc
-    t_theta = trunc + 2 * n + 1
-    th = theta_series(L, t_theta)
-    e = eta(t_theta + 2 * n) ** n
-    return (th * e.inv()).truncate(trunc)
+    # eta^-n leads at q^(-n/24), so theta runs that far past trunc
+    return theta_series(L, trunc + 2 * n) * eta_quotient(((GRID, -n),), trunc)

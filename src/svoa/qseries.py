@@ -20,7 +20,9 @@ through `scale`.
 
 Truncation semantics: `trunc` is the exclusive upper index bound to which
 the coefficients are trusted.  Arithmetic propagates the tightest valid
-bound (``min`` for +/-, the lead-shifted ``min`` for products).
+bound (``min`` for +/-, the lead-shifted ``min`` for products).  A catalog
+series ends exactly at the `trunc` it is given: each factor is built only
+as far as the product needs, sized from the other factors' leads.
 
 Every infinite product in the catalog is an eta quotient, a product of
 eta(q^(s/48)) = q^(s/1152) prod_{n>=1} (1 - q^(n*s/48)) to integer powers,
@@ -402,25 +404,21 @@ def E4(trunc=DEFAULT_TRUNC) -> QSeries:
 
 
 def delta(trunc=DEFAULT_TRUNC) -> QSeries:
-    return eta(trunc) ** 24
+    return eta_quotient(((GRID, 24),), trunc)
 
 
 def j_function(trunc=DEFAULT_TRUNC) -> QSeries:
-    # E4^3 starts at 0 and delta at q, so extend the working precision so
-    # that the quotient is valid to `trunc`.
-    t = trunc + 2 * GRID
-    return (E4(t) ** 3) * delta(t).inv()
+    # E4^3 / eta^24; eta^-24 leads at q^-1, so E4^3 runs one q past trunc
+    return E4(trunc + GRID) ** 3 * eta_quotient(((GRID, -24),), trunc)
 
 
 def cbrt_j(trunc=DEFAULT_TRUNC) -> QSeries:
-    t = trunc + GRID
-    return E4(t) * (eta(t) ** 8).inv()
+    return E4(trunc + 16) * eta_quotient(((GRID, -8),), trunc)
 
 
 def j_theta(trunc=DEFAULT_TRUNC) -> QSeries:
-    # (Theta_Z / eta)^12
-    t = trunc + 30
-    return (theta_Z(t) * eta(t).inv()) ** 12
+    # (Theta_Z / eta)^12: the base leads at index -2, its 12th power ends 22 earlier
+    return (theta_Z(trunc + 24) * eta_quotient(((GRID, -1),), trunc + 22)) ** 12
 
 
 def chi_half(trunc=DEFAULT_TRUNC) -> QSeries:
@@ -451,9 +449,8 @@ def cusp1_chi_half(trunc=DEFAULT_TRUNC) -> QSeries:
 
 
 def chi_ising_16(trunc=DEFAULT_TRUNC) -> QSeries:
-    # (1/sqrt(2)) sqrt(Theta_{Z+1/2}/eta) = q^(1/24) prod (1 + q^n), valid to
-    # trunc + 4
-    return cusp1_chi_half(trunc + 4)
+    # (1/sqrt(2)) sqrt(Theta_{Z+1/2}/eta) = q^(1/24) prod (1 + q^n)
+    return cusp1_chi_half(trunc)
 
 
 def vacuum(c, trunc=DEFAULT_TRUNC) -> QSeries:
@@ -510,10 +507,10 @@ def standard_series(name, trunc=DEFAULT_TRUNC, c=None, h=None) -> QSeries:
     if tuple(given) != takes:
         raise ValueError("%s takes %s, not %s" % (
             key, " and ".join(takes) or "no parameters", " and ".join(given) or "none"))
-    # no catalog series runs more than 20 full products (j_theta: 18), each
+    # no catalog series runs more than 20 full products (j: 11 kernel calls), each
     # spanning trunc from the lead, -2c + 48h for the vacuum and generic modules
     check_work(20, trunc + 2 * (c or 0) - GRID * (h or 0))
-    return _CATALOG[key](*given.values(), trunc).truncate(trunc)
+    return _CATALOG[key](*given.values(), trunc)
 
 
 def standard_names():

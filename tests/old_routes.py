@@ -6,7 +6,8 @@ svoa.qseries.eta_quotient, the formal log/exp fractional power and the
 derivative-loop Lagrange inversion behind Miller's power recurrence and the
 direct Lagrange-Buermann coefficient, the inverse loop that recurrence took
 over, the inverse-then-binary negative powers, the separate pow_rational and
-the prefactor-free eta quotient behind svoa.qseries's one `**`, the sign
+the prefactor-free eta quotient behind svoa.qseries's one `**`, the padded
+catalog and lattice-character routes behind exact truncation, the sign
 search behind svoa.modrep's closed-form S_22, the PLU group action behind svoa.invariants.poly_act's balanced
 split, the whole-matrix breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
@@ -33,8 +34,10 @@ from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
 from svoa.modrep import CycMatrix, _diag_matrix, _phase, fusion_type
-from svoa.qseries import (DEFAULT_TRUNC, GRID, GridError, QSeries, _coeff_div, cbrt_j,
-                          chi_half, cusp1_chi_half, theta_Z_half, vacuum)
+from svoa.lattices import theta_series
+from svoa.qseries import (DEFAULT_TRUNC, GRID, E4, GridError, QSeries, _coeff_div,
+                          cbrt_j, chi_half, cusp1_chi_half, theta_Z, theta_Z_half,
+                          vacuum)
 from svoa.qseries import euler_product as dilated_euler_product
 
 DEGREE = 16
@@ -931,6 +934,48 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
     twisted = ((half_minus ** (-cc)) + (half_plus ** (-cc)).scale(sign))
     twisted = twisted.scale(Fraction(2 ** (cc // 2), 2))
     return untwisted.shift(-2 * cc) + twisted.shift(cc)
+
+
+# -- the padded catalog routes that exact truncation replaced ----------------
+#
+# delta, j, cbrt(j) and (Theta_Z/eta)^12 built on hand-tuned working orders,
+# the lattice character theta/eta^n by a binary power and an inverse, and the
+# Leech theta's floor of q^2 on its working order, as they were before every
+# catalog series was cut exactly at its trunc.  They run on this module's
+# `eta`; the first four and the Leech theta return more than `trunc`, so a
+# comparison cuts them there.
+
+
+def padded_delta(trunc) -> QSeries:
+    return eta(trunc) ** 24
+
+
+def padded_j_function(trunc) -> QSeries:
+    t = trunc + 2 * GRID
+    return (E4(t) ** 3) * padded_delta(t).inv()
+
+
+def padded_cbrt_j(trunc) -> QSeries:
+    t = trunc + GRID
+    return E4(t) * (eta(t) ** 8).inv()
+
+
+def padded_j_theta(trunc) -> QSeries:
+    t = trunc + 30
+    return (theta_Z(t) * eta(t).inv()) ** 12
+
+
+def padded_leech_theta(trunc) -> QSeries:
+    t = max(trunc, 2 * GRID)
+    return E4(t) ** 3 - padded_delta(t).scale(720)
+
+
+def two_step_svoa_character(L, trunc) -> QSeries:
+    n = L.dim
+    t_theta = trunc + 2 * n + 1
+    th = theta_series(L, t_theta)
+    e = eta(t_theta + 2 * n) ** n
+    return (th * e.inv()).truncate(trunc)
 
 
 # -- the formal-calculus routes that the one-pass closed forms replaced --------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from svoa import babymonster, cli, invariants, qseries
+from svoa import babymonster, cli, extremal, invariants, qseries
 from svoa.cli import main
 from svoa.qseries import QSeries
 
@@ -289,6 +289,16 @@ def test_huge_extremal_rank_fails_fast(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == "" and "budget" in err
+
+
+def test_classify_refuses_its_top_rank_before_any_solve(capsys, monkeypatch):
+    # the work estimate grows with the rank, so the top rank decides
+    monkeypatch.setattr(extremal, "WORK_BUDGET", 20000)
+    solved = []
+    solve = extremal.extremal_svoa
+    monkeypatch.setattr(extremal, "extremal_svoa", lambda c: solved.append(c) or solve(c))
+    code, out, err = run(capsys, "classify", "--from", "0", "--to", "120", "--max", "120")
+    assert code == 1 and out == "" and "budget" in err and solved == []
 
 
 def test_huge_molien_degree_fails_fast(capsys):

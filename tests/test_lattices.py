@@ -7,6 +7,7 @@ from math import isqrt, lcm
 
 import pytest
 
+import old_routes
 from helpers import agree
 from svoa import lattices
 from svoa.cli import main
@@ -400,6 +401,20 @@ def test_svoa_character_values():
     x = svoa_character(L, -30 + 2 * GRID + 1)
     base = -30
     assert [x.coeff(base + o) for o in (0, 48, 72, 96)] == [1, 255, 3640, 27525]
+
+
+def test_leech_theta_matches_padded_route():
+    L = lattice_catalog("Leech")
+    for t in list(range(1, 150)) + [480, 481, 960]:
+        assert theta_series(L, t) == old_routes.padded_leech_theta(t).truncate(t), t
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z8", "Z13", "E8", "D12+", "E7E7+", "A15+",
+                                  "D16+"])
+def test_svoa_character_matches_two_step_route(name):
+    L = lattice_catalog(name)
+    for t in (1, 2, 47, 48, 97, 4 * GRID):
+        assert svoa_character(L, t) == old_routes.two_step_svoa_character(L, t), t
 
 
 def test_lattice_names_are_one_list():

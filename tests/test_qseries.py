@@ -620,7 +620,7 @@ def test_eta_quotients_match_replaced_routes():
         (qs.chi_half, lambda t: old_routes._prod_half_steps(t + 1, +1).shift(-1)),
         (qs.chi_half_minus, lambda t: old_routes._prod_half_steps(t + 1, -1).shift(-1)),
         (qs.cusp1_chi_half, lambda t: old_routes._prod_one_plus_qn(t - 2).shift(2)),
-        (qs.chi_ising_16, old_routes.chi_ising_16),
+        (qs.chi_ising_16, lambda t: old_routes.chi_ising_16(t).truncate(t)),
     ]
     for new, old in routes:
         for t in ORACLE_TRUNCS:
@@ -628,6 +628,30 @@ def test_eta_quotients_match_replaced_routes():
             if want[0] == "raises":  # an empty window: the old route inverted zero
                 want = ({}, t)
             assert _outcome(new, t) == want, (new.__name__, t)
+
+
+def test_catalog_series_end_at_their_trunc():
+    params = {"c": 24, "h": 2}
+    wrong = []
+    for name, f in qs._CATALOG.items():
+        args = [params[p] for p in qs.SERIES_PARAMS.get(name, ())]
+        for t in (1, 2, 24, 47, 48, 49, 95, 96, 97, 480, 4800):
+            if f(*args, t).trunc != t:
+                wrong.append((name, t))
+    assert wrong == []
+
+
+def test_exact_catalog_matches_padded_routes():
+    routes = [
+        (qs.delta, old_routes.padded_delta),
+        (qs.j_function, old_routes.padded_j_function),
+        (qs.cbrt_j, old_routes.padded_cbrt_j),
+        (qs.j_theta, old_routes.padded_j_theta),
+        (qs.eta, old_routes.eta),
+    ]
+    for new, old in routes:
+        for t in list(range(1, 150)) + [480, 481, 960]:
+            _check(new(t), old(t).truncate(t))
 
 
 def test_eta_quotient_of_one_factor_is_its_euler_product():
