@@ -9,21 +9,27 @@ the displayed orthogonal matrix.  In the 4x4 S-matrices the twisted block
 carries S_22 = e^(-pi i c/2)/2, the sign that the modular relations S^4 = 1
 and S^2 = (ST)^3 (which give (ST)^6 = 1) select; every rank checks them.
 
-The group these generate is closed on the orbit of rows rather than by
-whole matrix products: each distinct row is multiplied by each generator
-once, and the closure itself runs on tuples of row ids, carrying each
-element's determinant as det(m g) = det(m) det(g).  Molien then sums
-1/det(1 - g t) over the classes of equal characteristic polynomial, keyed
-by the determinant and the power sums p_k = tr(g^k), k <= n/2.  Newton's
+The group these generate is closed on interned entries rather than by
+whole matrix products: each distinct entry gets an id, a row is a tuple of
+entry ids, and each distinct row meets each generator once, column by
+column through a memo on the entries that column reads, so a diagonal T
+costs one product per distinct entry.  The closure itself runs on tuples of
+row ids, carrying each element's determinant as det(m g) = det(m) det(g),
+one product per (det, generator) pair.  Molien then sums 1/det(1 - g t)
+over the classes of equal characteristic polynomial, keyed by the
+determinant and the power sums p_k = tr(g^k), k <= n/2.  Newton's
 identities turn those into the lower half e_1..e_{n/2} of the coefficients
 once per class, and the upper half follows since the eigenvalues are roots
-of unity: e_{n-k} = det * conj(e_k).
+of unity: e_{n-k} = det * conj(e_k).  The classes' recurrences run on plain
+integers, through the ring map zeta_48 -> 2^B onto Z/Phi_48(2^B), and each
+degree's sum is read back exactly as its 16 base-2^B digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
 from .linalg import gauss_jordan
@@ -167,15 +173,18 @@ class MatrixGroup:
 
 
 def generate_group(gens) -> MatrixGroup:
-    """Closure of the group generated by `gens`, run on the orbit of rows.
+    """Closure of the group generated by `gens`, run on interned entries.
 
-    The rows of m * g are the rows of m times g, so each distinct row is
-    interned as an id and meets each generator once: a lazy table per
-    generator maps a row id to the id of row * g, one sum of products per
-    entry.  The breadth-first closure then runs on n-tuples of row ids, where
-    m * g costs n table lookups, and records det(m * g) = det(m) det(g): one
-    product per new element, each generator's determinant taken once from
-    linalg.gauss_jordan.
+    Every matrix entry is interned as an id, a row as the tuple of its entry
+    ids, and an element as the tuple of its row ids.  The rows of m * g are
+    the rows of m times g, so each distinct row meets each generator once
+    (a lazy table per generator maps a row id to the id of row * g), and
+    entry j of row * g is read through a memo keyed by the entry ids at the
+    nonzero places of g's column j: a diagonal generator costs one product
+    per distinct entry, a dense one a sum of products per new row.  The
+    breadth-first closure then costs n table lookups per product m * g, and
+    it records det(m * g) = det(m) det(g) through a memo on (det, generator),
+    each generator's determinant taken once from linalg.gauss_jordan.
     Raises RuntimeError once the closure has more than CLOSURE_CAP elements.
     """
     gens = tuple(gens)
@@ -184,45 +193,71 @@ def generate_group(gens) -> MatrixGroup:
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValueError("generators of different dimensions")
-    rows = list(CycMatrix.identity(n).rows)  # row id -> row
-    ids = {r: i for i, r in enumerate(rows)}
-    cols = [tuple(zip(*g.rows)) for g in gens]
-    gen_dets = [Cyclo.coerce(gauss_jordan(g.rows)[0]) for g in gens]
+    entries, entry_ids = [], {}  # entry id -> Cyclo, (terms, den) -> entry id
+    rows, row_ids = [], {}  # row id -> tuple of entry ids, and back
+
+    def intern(key, value, values, ids):
+        i = ids.setdefault(key, len(values))
+        if i == len(values):
+            values.append(value)
+        return i
+
+    def entry(x):
+        return intern((x.terms, x.den), x, entries, entry_ids)
+
+    for r in CycMatrix.identity(n).rows:
+        row = tuple(map(entry, r))
+        intern(row, row, rows, row_ids)
+    # per generator and column j: the places k with g[k][j] != 0, their
+    # entries, and the memo from the entry ids at those places to an entry id
+    cols = []
+    for g in gens:
+        places = [[k for k in range(n) if not g.rows[k][j].is_zero()] for j in range(n)]
+        cols.append([(ks, [g.rows[k][j] for k in ks], {}) for j, ks in enumerate(places)])
     tables = [{} for _ in gens]  # per generator: row id -> id of row * g
 
     def times(r, k):
-        table = tables[k]
-        j = table.get(r)
+        j = tables[k].get(r)
         if j is None:
-            row = tuple(dot(zip(rows[r], c)) for c in cols[k])
-            j = ids.setdefault(row, len(rows))
-            if j == len(rows):
-                rows.append(row)
-            table[r] = j
+            row, prod = rows[r], []
+            for ks, col, memo in cols[k]:
+                key = tuple([row[i] for i in ks])
+                e = memo.get(key)
+                if e is None:
+                    e = memo[key] = entry(dot(zip([entries[i] for i in key], col)))
+                prod.append(e)
+            prod = tuple(prod)
+            j = tables[k][r] = intern(prod, prod, rows, row_ids)
         return j
 
+    gen_dets = [Cyclo.coerce(gauss_jordan(g.rows)[0]) for g in gens]
+    det_times = {}  # (det, generator) -> their product
     full = tuple(range(n))  # the identity as row ids
-    dets = {full: cyc_one()}  # element as row ids -> its determinant
+    elements = {full: cyc_one()}  # element as row ids -> its determinant
     frontier = [full]
     while frontier:
         new = []
         for m in frontier:
             for k, d in enumerate(gen_dets):
-                p = tuple(times(r, k) for r in m)
-                if p not in dets:
-                    dets[p] = dets[m] * d
+                p = tuple([times(r, k) for r in m])
+                if p not in elements:
+                    key = (elements[m], k)
+                    if key not in det_times:
+                        det_times[key] = key[0] * d
+                    elements[p] = det_times[key]
                     new.append(p)
-                    if len(dets) > CLOSURE_CAP:
+                    if len(elements) > CLOSURE_CAP:
                         raise RuntimeError("group closure exceeded cap %d" % CLOSURE_CAP)
         frontier = new
-    return MatrixGroup({CycMatrix([rows[r] for r in m]): d for m, d in dets.items()})
+    return MatrixGroup({CycMatrix([[entries[e] for e in rows[r]] for r in m]): d
+                        for m, d in elements.items()})
 
 
 # -- Molien series -----------------------------------------------------------------
 
 # cap on classes x (degree + 1) x dimension, the products of the recurrence; at
-# the cap rank 1/2 (70 classes) reaches degree 4760 in 4.0-4.5 s and 17.7 MB
-# peak RSS (2-vCPU VM, Python 3.11.7), almost all of it in the recurrence
+# the cap rank 1/2 (70 classes) reaches degree 4760 in 0.6-0.7 s and 19 MB peak
+# RSS (2-vCPU VM, Python 3.11.7), almost all of it in the recurrence
 MOLIEN_BUDGET = 1_000_000
 
 
@@ -240,7 +275,10 @@ def char_classes(group: MatrixGroup) -> dict:
     half.  An element of finite order has roots of unity for eigenvalues,
     so those of g^-1 are their complex conjugates, sigma_-1 on Q(zeta_48),
     and e_{n-k}(g) = det(g) e_k(g^-1) = det(g) sigma_-1(e_k(g)).
+    A group with no elements raises ValueError.
     """
+    if not group.dets:
+        raise ValueError("a matrix group has at least its identity; got no elements")
     n = next(iter(group.dets)).n
     keys = {}
     for g, d in group.dets.items():
@@ -260,18 +298,36 @@ def char_classes(group: MatrixGroup) -> dict:
     return classes
 
 
+def _digit_bits(order: int, n: int, maxdeg: int) -> int:
+    """Bits B of the base X = 2^B in which molien reads its sums' coordinates.
+
+    The eigenvalues of a finite-order g lie on the unit circle under every
+    embedding of Q(zeta_48), so the t^m coefficient h_m of 1/det(1 - g t),
+    a sum of C(m+n-1, n-1) monomials in them, has |sigma(h_m)| <= C(m+n-1,
+    n-1); a power-basis coordinate of x is at most 1.155 max_sigma |sigma(x)|.
+    A coordinate of the sum over the group is thus below 2 |G| C(maxdeg+n-1,
+    n-1), under a quarter of X, which leaves the sum's 16 base-X digits
+    unique modulo Phi_48(X).
+    """
+    return (4 * order * comb(maxdeg + n - 1, n - 1)).bit_length() + 1
+
+
 def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
     """Molien series (1/|G|) sum_g 1/det(1 - g t) to degree `maxdeg`.
 
     Returned as a QSeries with t^k stored at grid index 48k.  The elements
     are grouped by characteristic polynomial (`char_classes`, which reads
-    the group's determinants); the classes' series 1/det(1 - g t) advance in
-    step, and each degree is one sum over the classes weighted by their
-    sizes.  Every coefficient must come out a nonnegative integer, as it
-    does for a finite group: a nonreal sum raises ValueError, any other
-    coefficient ArithmeticError.  A degree whose recurrence exceeds
-    MOLIEN_BUDGET is refused before it runs, and a negative one raises
-    ValueError.
+    the group's determinants), and each class's series 1/det(1 - g t) runs
+    on integers: the ring map zeta_48 -> X = 2^B sends Z[zeta_48] onto Z/N,
+    N = Phi_48(X) = X^16 - X^8 + 1, where a recurrence step is a few integer
+    products and one reduction.  Each degree's sum over the classes,
+    weighted by their sizes, is then read back as its 16 balanced base-X
+    digits, exact since B (`_digit_bits`) bounds every coordinate the
+    elements' finite order allows.  Every
+    coefficient must come out a nonnegative integer, as it does for a finite
+    group: a nonreal sum raises ValueError, any other coefficient
+    ArithmeticError.  A degree whose recurrence exceeds MOLIEN_BUDGET is
+    refused before it runs, and a negative one raises ValueError.
     """
     if maxdeg < 0:
         raise ValueError("molien needs maxdeg >= 0, got %d" % maxdeg)
@@ -281,23 +337,36 @@ def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
     if work > MOLIEN_BUDGET:
         raise RuntimeError("molien to degree %d needs about %d products, over "
                            "the budget of %d" % (maxdeg, work, MOLIEN_BUDGET))
-    counts = tuple(classes.values())
-    # the last n coefficients of each class's 1/det(1 - g t)
-    tails = [[cyc_one()] for _ in counts]
     order = group.order
+    bits = _digit_bits(order, n, maxdeg)
+    base, half = 1 << bits, 1 << bits - 1
+    N = (1 << 16 * bits) - (1 << 8 * bits) + 1
+    totals = [0] * (maxdeg + 1)
+    for cs, count in classes.items():
+        if any(c.den != 1 for c in cs):
+            raise ArithmeticError("characteristic polynomial %s is not over "
+                                  "Z[zeta_48]: not a finite group" % (cs,))
+        # det(1 - g t) = sum_k (-1)^k c_k t^k, so its inverse has h_m =
+        # sum_k (-1)^(k+1) c_k h_{m-k}: the nonzero c_k's images, signed
+        terms = [(-k, (-1) ** (k + 1) * sum(v << bits * i for i, v in c.terms))
+                 for k, c in enumerate(cs, 1) if c.terms]
+        hs = [0] * n + [count]  # count * h_m, after n zeros for m < 0
+        for _ in range(maxdeg):
+            h = 0
+            for k, c in terms:
+                h += c * hs[k]
+            hs.append(h % N)
+        totals = list(map(int.__add__, totals, hs[n:]))
     out = {}
-    for m in range(maxdeg + 1):
-        if m:
-            # det(1 - g t) = sum_k (-1)^k c_k t^k, so its inverse has
-            # inv[m] = sum_k (-1)^(k+1) c_k inv[m-k]
-            ks = range(1, min(n, m) + 1)
-            for cs, inv in zip(classes, tails):
-                inv.append(dot([(cs[k - 1], inv[-k]) for k in ks[::2]],
-                               [(cs[k - 1], inv[-k]) for k in ks[1::2]]))
-                if len(inv) > n:
-                    del inv[0]
+    for m, total in enumerate(totals):
+        # the sum's balanced residue mod N as 16 balanced base-X digits
+        total = (total + (N >> 1)) % N - (N >> 1)
+        digits = []
+        for _ in range(16):
+            total, d = divmod(total + half, base)
+            digits.append(d - half)
         # raises ValueError if a nonreal part survived
-        r = dot(zip([inv[-1] for inv in tails], counts)).rational() / order
+        r = Cyclo(digits).rational() / order
         if r.denominator != 1 or r < 0:
             raise ArithmeticError("Molien coefficient %s of t^%d is not a "
                                   "nonnegative integer" % (r, m))

@@ -11,7 +11,8 @@ catalog and lattice-character routes behind exact truncation, the sign
 search behind svoa.modrep's closed-form S_22, the PLU group action behind svoa.invariants.poly_act's balanced
 split, the whole-matrix breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
-by determinant and lower half, and its once-per-degree fold, and the
+by determinant and lower half, and its once-per-degree fold, the
+Q(zeta_48) Molien recurrence behind svoa.modrep's integer ring map, and the
 dict-backed q-series behind svoa.qseries's slot form.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
@@ -19,9 +20,9 @@ dict-backed q-series behind svoa.qseries's slot form.
 every product.  On top of it sit the triple-loop matrix product, the
 cofactor determinant, breadth-first group closure, the Molien recurrence
 and the push-style polynomial shear, as they were before the kernel.
-Apart from the PLU group action, kept as it ran on the fused kernel,
-nothing here calls `svoa.cyclo.dot`; results are compared through
-`Cyclo.num` and `Cyclo.den`.
+Apart from the PLU group action and the Q(zeta_48) Molien recurrence, kept
+as they ran on the fused kernel, nothing here calls `svoa.cyclo.dot`;
+results are compared through `Cyclo.num` and `Cyclo.den`.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
 from svoa.modrep import CycMatrix, _diag_matrix, _phase, fusion_type
+from svoa.modrep import char_classes as char_classes_by_power_sums
 from svoa.lattices import theta_series
 from svoa.qseries import (DEFAULT_TRUNC, GRID, E4, GridError, QSeries, _coeff_div,
                           cbrt_j, chi_half, cusp1_chi_half, theta_Z, theta_Z_half,
@@ -248,6 +250,34 @@ def molien(elements, maxdeg):
         for m in range(maxdeg + 1):
             total[m] = total[m] + inv[m] * count
     return [v.rational() / len(elements) for v in total]
+
+
+# -- the Q(zeta_48) recurrence that svoa.modrep.molien's ring map replaced ------
+
+
+def dot_molien(group, maxdeg):
+    """Molien coefficients t^0..t^maxdeg of a MatrixGroup, its classes'
+    series 1/det(1 - g t) advanced in step by one `dot` per class and degree
+    and summed once per degree in Q(zeta_48)."""
+    classes = char_classes_by_power_sums(group)
+    n = len(next(iter(classes)))
+    counts = tuple(classes.values())
+    tails = [[Cyclo([1])] for _ in counts]
+    out = []
+    for m in range(maxdeg + 1):
+        if m:
+            ks = range(1, min(n, m) + 1)
+            for cs, inv in zip(classes, tails):
+                inv.append(dot([(cs[k - 1], inv[-k]) for k in ks[::2]],
+                               [(cs[k - 1], inv[-k]) for k in ks[1::2]]))
+                if len(inv) > n:
+                    del inv[0]
+        r = dot(zip([inv[-1] for inv in tails], counts)).rational() / group.order
+        if r.denominator != 1 or r < 0:
+            raise ArithmeticError("Molien coefficient %s of t^%d is not a "
+                                  "nonnegative integer" % (r, m))
+        out.append(r)
+    return out
 
 
 # -- svoa.invariants' coefficient normalisation, as the shears below ran it ------

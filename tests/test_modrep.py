@@ -7,7 +7,7 @@ import pytest
 
 import old_routes
 from svoa import modrep
-from svoa.cyclo import cyc_one, sqrt2, zeta_pow
+from svoa.cyclo import cyc_one, dot, sqrt2, zeta_pow
 from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, _diag_matrix,
                          char_classes, character_rep, generate_group, molien,
                          verlinde)
@@ -305,9 +305,90 @@ def test_molien_rejects_a_set_that_is_not_a_group():
     signs = {CycMatrix.identity(3): 1,
              CycMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]): -1,
              CycMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]): -1}
-    # (1/3)(1/(1-t)^3 + 2/((1-t)^2 (1+t))) = 1 + 5/3 t + ...
-    with pytest.raises(ArithmeticError, match="5/3 of t\\^1"):
-        molien(MatrixGroup(signs), 4)
+    # (1/3)(1/(1-t)^3 + 2/((1-t)^2 (1+t))) = 1 + 5/3 t + ..., on both routes
+    for route in (molien, old_routes.dot_molien):
+        with pytest.raises(ArithmeticError, match="5/3 of t\\^1"):
+            route(MatrixGroup(signs), 4)
+
+
+def test_molien_reports_a_nonreal_sum_as_the_dot_recurrence_does():
+    # 1 - 1 - i at t^1: a negative coordinate, read from the balanced residue
+    units = MatrixGroup({CycMatrix([[1]]): 1, CycMatrix([[-1]]): -1,
+                         CycMatrix([[zeta_pow(36)]]): zeta_pow(36)})
+    for route in (molien, old_routes.dot_molien):
+        with pytest.raises(ValueError, match=r"not a rational element: \(-1\*z\^12\)"):
+            route(units, 3)
+
+
+def test_molien_rejects_an_empty_group():
+    with pytest.raises(ValueError, match="no elements"):
+        molien(MatrixGroup({}), 3)
+
+
+def test_molien_rejects_coefficients_off_the_algebraic_integers():
+    # [[1/2]] has infinite order: its characteristic polynomial 1 - t/2 has
+    # no image in Z/Phi_48(2^B)
+    halves = MatrixGroup({CycMatrix([[1]]): 1, CycMatrix([[Fraction(1, 2)]]): Fraction(1, 2)})
+    with pytest.raises(ArithmeticError, match="not a finite group"):
+        molien(halves, 2)
+
+
+def _closed_form(maxdeg):
+    """(1 + t^24 + t^48)/((1 - t^3)(1 - t^24)(1 - t^48)) to t^maxdeg."""
+    coeffs = [1 if k in (0, 24, 48) else 0 for k in range(maxdeg + 1)]
+    for d in (3, 24, 48):
+        for k in range(d, maxdeg + 1):
+            coeffs[k] += coeffs[k - d]
+    return coeffs
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(47, 2)])
+def test_molien_matches_closed_form_to_degree_1000(c):
+    T, S = character_rep(c)
+    rho = molien(generate_group([S, T]), 1000)
+    assert [rho.coeff(GRID * k) for k in range(1001)] == _closed_form(1000)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 1, Fraction(3, 2), 2])
+def test_molien_matches_dot_recurrence(c):
+    T, S = character_rep(c)
+    G = generate_group([S, T])
+    rho = molien(G, 400)
+    assert [rho.coeff(GRID * k) for k in range(401)] == old_routes.dot_molien(G, 400)
+
+
+def test_a_narrowed_digit_width_breaks_molien(monkeypatch):
+    T, S = character_rep(Fraction(1, 2))
+    G = generate_group([S, T])
+    oracle = old_routes.dot_molien(G, 400)
+    # a degree's sum over the group is |G| m_d, read as a base-2^B digit
+    # that must stay below 2^(B-1)
+    narrow = int(G.order * max(oracle)).bit_length()
+    assert narrow < modrep._digit_bits(G.order, 3, 400)
+    monkeypatch.setattr(modrep, "_digit_bits", lambda order, n, maxdeg: narrow)
+    try:
+        rho = molien(G, 400)
+    except (ArithmeticError, ValueError):
+        return
+    assert [rho.coeff(GRID * k) for k in range(401)] != oracle
+
+
+def test_closure_and_molien_dot_counts(monkeypatch):
+    # exact work counts at rank 1/2: a diagonal T costs a product per distinct
+    # entry, and Molien's recurrence makes no dot (1152 traces, 70 Newton sums)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return dot(*args)
+
+    T, S = character_rep(Fraction(1, 2))
+    monkeypatch.setattr(modrep, "dot", counted)
+    G = generate_group([S, T])
+    assert count[0] <= 3532
+    count[0] = 0
+    molien(G, 48)
+    assert count[0] <= 1222
 
 
 def test_minors_match_cofactor_route():
