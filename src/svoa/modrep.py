@@ -9,19 +9,27 @@ the displayed orthogonal matrix.  In the 4x4 S-matrices the twisted block
 carries S_22 = e^(-pi i c/2)/2, the sign that the modular relations S^4 = 1
 and S^2 = (ST)^3 (which give (ST)^6 = 1) select; every rank checks them.
 
+The modular layer computes on plain integers through one ring map:
+zeta_48 -> X = 2^B and 1/d -> d^-1 sends Q(zeta_48), away from the primes
+of Phi_48(X), onto Z/N with N = Phi_48(X) = X^16 - X^8 + 1, and an image is
+read back as 16 balanced base-X digits, exactly when B bounds the
+coordinates (`_encode`, `_decode`).
+
 The group these generate is closed on interned entries rather than by
 whole matrix products: each distinct entry gets an id, a row is a tuple of
 entry ids, and each distinct row meets each generator once, column by
-column through a memo on the entries that column reads, so a diagonal T
-costs one product per distinct entry.  The closure itself runs on tuples of
-row ids, carrying each element's determinant as det(m g) = det(m) det(g),
-one product per (det, generator) pair.  Molien then sums 1/det(1 - g t)
-over the classes of equal characteristic polynomial, keyed by the
-determinant and the power sums p_k = tr(g^k), k <= n/2.  Newton's
-identities turn those into the lower half e_1..e_{n/2} of the coefficients
-once per class, and the upper half follows since the eigenvalues are roots
-of unity: e_{n-k} = det * conj(e_k).  The classes' recurrences run on plain
-integers, through the ring map zeta_48 -> 2^B onto Z/Phi_48(2^B), and each
+column through a memo on the entries that column reads.  A new entry is a
+sum of products of images, looked up by its image, and decoded only if the
+image is new; B doubles whenever the entries' coordinates would outgrow
+it.  The closure itself runs on tuples of row ids, carrying each element's
+determinant as det(m g) = det(m) det(g), one product per (det, generator)
+pair, and builds matrices only when asked for them.  Molien then sums
+1/det(1 - g t) over the classes of equal characteristic polynomial, keyed
+by the determinant and the images of the power sums p_k = tr(g^k),
+k <= n/2.  Newton's identities turn the decoded power sums into the lower
+half e_1..e_{n/2} of the coefficients once per class, and the upper half
+follows since the eigenvalues are roots of unity: e_{n-k} = det *
+conj(e_k).  The classes' recurrences run on the images too, and each
 degree's sum is read back exactly as its 16 base-2^B digits.
 """
 
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
 from .linalg import gauss_jordan
@@ -71,9 +79,6 @@ class CycMatrix:
         if k < 0:
             return self.inv() ** (-k)
         return power(self, k) if k else CycMatrix.identity(self.n)
-
-    def trace(self):
-        return dot((x[i], 1) for i, x in enumerate(self.rows))
 
     def is_identity(self):
         return self == CycMatrix.identity(self.n)
@@ -155,37 +160,109 @@ def _check_relations(S, T):
         raise ArithmeticError("modular relations S^4=1, S^2=(ST)^3 violated")
 
 
+# -- Z[zeta_48] on integers --------------------------------------------------------
+
+
+def _modulus(bits: int) -> int:
+    """N = Phi_48(X) = X^16 - X^8 + 1 at X = 2^bits."""
+    return (1 << 16 * bits) - (1 << 8 * bits) + 1
+
+
+def _encode(x: Cyclo, bits: int) -> int:
+    """The image of x in Z/N, N = Phi_48(2^bits), under zeta_48 -> 2^bits and
+    1/d -> the inverse of d mod N; x's denominator must be prime to N."""
+    N = _modulus(bits)
+    r = sum(v << bits * i for i, v in x.terms)
+    return (r if x.den == 1 else r * pow(x.den, -1, N)) % N
+
+
+def _decode(r: int, bits: int, den: int = 1) -> Cyclo:
+    """The x with image r in Z/N, N = Phi_48(2^bits), read from den * r as 16
+    balanced base-2^bits digits.  Exact when den * x is in Z[zeta_48] with
+    every coordinate below 2^(bits-2) in size: then den * r, balanced mod N,
+    is the integer sum of those coordinates times the powers of 2^bits."""
+    N = _modulus(bits)
+    base, half = 1 << bits, 1 << bits - 1
+    r = (r * den + (N >> 1)) % N - (N >> 1)
+    digits = []
+    for _ in range(16):
+        r, d = divmod(r + half, base)
+        digits.append(d - half)
+    return Cyclo(digits, den)
+
+
+def _width(bits: int, bound: int, den: int) -> int:
+    """The width B of the images that keep elements apart when their
+    numerators over den have coordinates at most bound: bits, doubled as
+    often as needed for bound < 2^(B-2) and for den prime to Phi_48(2^B).
+    Doubling ends, since a prime dividing Phi_48(2^B) makes 2^B of order 48
+    and so divides Phi_48 at no other width 2^j B."""
+    while bound >> bits - 2 or gcd(den, _modulus(bits)) != 1:
+        bits *= 2
+    return bits
+
+
+def _l1(x: Cyclo) -> int:
+    """The L1 norm of x's numerator."""
+    return sum(abs(v) for _, v in x.terms)
+
+
 # -- group closure ---------------------------------------------------------------
 
 # cap on the elements of a closure; the largest group in use, rank 1/2's, has 1152
 CLOSURE_CAP = 10_000
 
+
 @dataclass(frozen=True)
 class MatrixGroup:
-    """A finite matrix group as the map from each element to its
-    determinant, which Molien's class keys read."""
+    """A finite matrix group in the interned form its closure builds: the
+    distinct entries, the distinct rows as tuples of entry ids, the distinct
+    determinants, and each element, as the tuple of its row ids, mapped to
+    the id of its determinant."""
 
-    dets: dict  # CycMatrix -> Cyclo
+    entries: tuple  # entry id -> Cyclo
+    rows: tuple  # row id -> tuple of entry ids
+    determinants: tuple  # det id -> Cyclo
+    elements: dict  # tuple of row ids -> det id
 
     @property
     def order(self):
-        return len(self.dets)
+        return len(self.elements)
+
+    @property
+    def dets(self):
+        """The map from each element, as a CycMatrix, to its determinant,
+        built on each read."""
+        return {CycMatrix([[self.entries[e] for e in self.rows[r]] for r in m]):
+                self.determinants[d] for m, d in self.elements.items()}
 
 
 def generate_group(gens) -> MatrixGroup:
-    """Closure of the group generated by `gens`, run on interned entries.
+    """Closure of the group generated by `gens`, run on interned entries and
+    their images in Z/Phi_48(2^B).
 
     Every matrix entry is interned as an id, a row as the tuple of its entry
     ids, and an element as the tuple of its row ids.  The rows of m * g are
     the rows of m times g, so each distinct row meets each generator once
     (a lazy table per generator maps a row id to the id of row * g), and
     entry j of row * g is read through a memo keyed by the entry ids at the
-    nonzero places of g's column j: a diagonal generator costs one product
-    per distinct entry, a dense one a sum of products per new row.  The
-    breadth-first closure then costs n table lookups per product m * g, and
-    it records det(m * g) = det(m) det(g) through a memo on (det, generator),
-    each generator's determinant taken once from linalg.gauss_jordan.
-    Raises RuntimeError once the closure has more than CLOSURE_CAP elements.
+    nonzero places of g's column j.  On a miss the entry is a sum of at most
+    n products of images in Z/Phi_48(2^B), looked up among the entries'
+    images and decoded only if new, over D, the lcm of the entries'
+    denominators times that of the generators' entries.
+    The images decide equality exactly.  With H the largest L1 norm of an
+    entry's numerator and G that of a generator entry's, a product of
+    numerators has coordinates at most H G, and reduction modulo Phi_48
+    sums distinct ones; so D times a new entry, and D times every interned
+    one, has coordinates at most n D H G.  While that stays below 2^(B-2)
+    (`_width`), equal images mean equal entries and the digits are exact;
+    B doubles when a new entry would break it, and the images are
+    recomputed, while ids, rows and memos stay.
+    The breadth-first closure then costs n table lookups per product m * g,
+    and it records det(m * g) = det(m) det(g) through a memo on (det,
+    generator), each generator's determinant taken once from
+    linalg.gauss_jordan.  A singular generator raises ValueError, and the
+    closure RuntimeError once it has more than CLOSURE_CAP elements.
     """
     gens = tuple(gens)
     if not gens:
@@ -193,64 +270,97 @@ def generate_group(gens) -> MatrixGroup:
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise ValueError("generators of different dimensions")
-    entries, entry_ids = [], {}  # entry id -> Cyclo, (terms, den) -> entry id
-    rows, row_ids = [], {}  # row id -> tuple of entry ids, and back
-
-    def intern(key, value, values, ids):
-        i = ids.setdefault(key, len(values))
-        if i == len(values):
-            values.append(value)
-        return i
-
-    def entry(x):
-        return intern((x.terms, x.den), x, entries, entry_ids)
-
-    for r in CycMatrix.identity(n).rows:
-        row = tuple(map(entry, r))
-        intern(row, row, rows, row_ids)
+    gen_dets = [Cyclo.coerce(gauss_jordan(g.rows)[0]) for g in gens]
+    for k, d in enumerate(gen_dets):
+        if d.is_zero():
+            raise ValueError("generator %d is singular: %r" % (k, gens[k]))
     # per generator and column j: the places k with g[k][j] != 0, their
-    # entries, and the memo from the entry ids at those places to an entry id
+    # entries and the entries' images, and the memo from the entry ids at
+    # those places to an entry id
     cols = []
     for g in gens:
         places = [[k for k in range(n) if not g.rows[k][j].is_zero()] for j in range(n)]
-        cols.append([(ks, [g.rows[k][j] for k in ks], {}) for j, ks in enumerate(places)])
+        cols.append([(ks, [g.rows[k][j] for k in ks], [], {}) for j, ks in enumerate(places)])
+    gen_entries = [x for g in gens for r in g.rows for x in r]
+    gen_den, gen_l1 = lcm(*[x.den for x in gen_entries]), max(map(_l1, gen_entries))
+    entries = [cyc_one(), cyc_zero()]  # entry id -> Cyclo
+    l1, den = 1, 1  # the largest numerator L1 norm and the lcm of denominators of entries
+    images, ids = [], {}  # entry id -> its image; image -> entry id
+    bits = N = 0
+
+    def recode(wide):
+        """Take the images at width `wide`."""
+        nonlocal bits, N
+        bits, N = wide, _modulus(wide)
+        images[:] = [_encode(x, bits) for x in entries]
+        ids.clear()
+        ids.update(zip(images, range(len(images))))
+        for column in cols:
+            for _, col, col_images, _ in column:
+                col_images[:] = [_encode(x, bits) for x in col]
+
+    def intern(x, r):
+        """The id of the new entry x of image r, widening first if x breaks
+        the bound."""
+        nonlocal l1, den
+        entries.append(x)
+        l1, den = max(l1, _l1(x)), lcm(den, x.den)
+        wide = _width(bits, n * den * gen_den * l1 * gen_l1, den * gen_den)
+        if wide != bits:
+            recode(wide)
+        else:
+            images.append(r)
+            ids[r] = len(entries) - 1
+        return len(entries) - 1
+
+    recode(_width(2, n * gen_den * gen_l1, gen_den))
+    # the identity's rows, entry 0 being one and entry 1 zero
+    rows = [tuple(0 if i == j else 1 for j in range(n)) for i in range(n)]
+    row_ids = {r: i for i, r in enumerate(rows)}  # tuple of entry ids -> row id
     tables = [{} for _ in gens]  # per generator: row id -> id of row * g
 
     def times(r, k):
-        j = tables[k].get(r)
-        if j is None:
-            row, prod = rows[r], []
-            for ks, col, memo in cols[k]:
-                key = tuple([row[i] for i in ks])
-                e = memo.get(key)
+        """The id of row r * g_k, a row the table of g_k does not hold yet."""
+        row, prod = rows[r], []
+        for ks, _, col_images, memo in cols[k]:
+            key = tuple([row[i] for i in ks])
+            e = memo.get(key)
+            if e is None:
+                s = sum([images[i] * c for i, c in zip(key, col_images)]) % N
+                e = ids.get(s)
                 if e is None:
-                    e = memo[key] = entry(dot(zip([entries[i] for i in key], col)))
-                prod.append(e)
-            prod = tuple(prod)
-            j = tables[k][r] = intern(prod, prod, rows, row_ids)
+                    e = intern(_decode(s, bits, den * gen_den), s)
+                memo[key] = e
+            prod.append(e)
+        prod = tuple(prod)
+        j = tables[k][r] = row_ids.setdefault(prod, len(rows))
+        if j == len(rows):
+            rows.append(prod)
         return j
 
-    gen_dets = [Cyclo.coerce(gauss_jordan(g.rows)[0]) for g in gens]
-    det_times = {}  # (det, generator) -> their product
+    dets, det_ids = [cyc_one()], {cyc_one(): 0}  # det id -> Cyclo, and back
+    det_times = {}  # (det id, generator) -> id of their product
     full = tuple(range(n))  # the identity as row ids
-    elements = {full: cyc_one()}  # element as row ids -> its determinant
+    elements = {full: 0}  # element as row ids -> id of its determinant
     frontier = [full]
     while frontier:
         new = []
         for m in frontier:
-            for k, d in enumerate(gen_dets):
-                p = tuple([times(r, k) for r in m])
+            for k, (d, table) in enumerate(zip(gen_dets, tables)):
+                p = tuple([table[r] if r in table else times(r, k) for r in m])
                 if p not in elements:
                     key = (elements[m], k)
                     if key not in det_times:
-                        det_times[key] = key[0] * d
+                        x = dets[key[0]] * d
+                        det_times[key] = det_ids.setdefault(x, len(dets))
+                        if det_times[key] == len(dets):
+                            dets.append(x)
                     elements[p] = det_times[key]
                     new.append(p)
                     if len(elements) > CLOSURE_CAP:
                         raise RuntimeError("group closure exceeded cap %d" % CLOSURE_CAP)
         frontier = new
-    return MatrixGroup({CycMatrix([[entries[e] for e in rows[r]] for r in m]): d
-                        for m, d in elements.items()})
+    return MatrixGroup(tuple(entries), tuple(rows), tuple(dets), elements)
 
 
 # -- Molien series -----------------------------------------------------------------
@@ -266,29 +376,49 @@ def char_classes(group: MatrixGroup) -> dict:
     (e_1, ..., e_n) -> number of elements, e_k the k-th elementary symmetric
     function of the eigenvalues.
 
-    Each element is keyed by (det, p_1, ..., p_{n//2}): its determinant as
-    the group carries it and the power sums p_k = tr(g^k) of its
-    eigenvalues, p_1 the trace and p_k one sum of products of the rows of
-    g^(k-1) with the columns of g (for n <= 5 no matrix product).  Each
-    class then takes e_1..e_{n//2} once by Newton's identities,
+    Each element is keyed by its determinant's id and the images in
+    Z/Phi_48(2^B) of the power sums p_k = tr(g^k), k <= n/2, of its
+    eigenvalues, taken from the images of the group's entries: p_1 the sum
+    of the diagonal, p_k one sum of products of the rows of g^(k-1) with the
+    columns of g (for n <= 5 no matrix product).  For g of finite order p_k
+    is a sum of n roots of unity, so its coordinates are at most 1.155 n
+    (see _digit_bits); with D the lcm of the entries' denominators, B
+    (`_width`) keeps those of D^k p_k below 2 n D^k <= 2^(B-2), so equal
+    images mean equal power sums, and each class decodes its p_k once, over
+    D^k.  It then takes e_1..e_{n//2} by Newton's identities,
     k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i, and fills in its upper
-    half.  An element of finite order has roots of unity for eigenvalues,
-    so those of g^-1 are their complex conjugates, sigma_-1 on Q(zeta_48),
-    and e_{n-k}(g) = det(g) e_k(g^-1) = det(g) sigma_-1(e_k(g)).
-    A group with no elements raises ValueError.
+    half: the eigenvalues of g^-1 are the complex conjugates of g's,
+    sigma_-1 on Q(zeta_48), so e_{n-k}(g) = det(g) e_k(g^-1) = det(g)
+    sigma_-1(e_k(g)).  A group with no elements raises ValueError.
     """
-    if not group.dets:
+    if not group.elements:
         raise ValueError("a matrix group has at least its identity; got no elements")
-    n = next(iter(group.dets)).n
+    n = len(group.rows[0])
+    half = n // 2
+    den = lcm(*[x.den for x in group.entries])
+    bits = _width(2, 2 * n * den ** half, den)
+    N = _modulus(bits)
+    images = [_encode(x, bits) for x in group.entries]
+    rows = [[images[e] for e in r] for r in group.rows]
+    diagonal = range(n)
     keys = {}
-    for g, d in group.dets.items():
-        key = (d, g.trace()) + tuple(
-            dot((x, y) for r, c in zip((g ** (k - 1)).rows, zip(*g.rows))
-                for x, y in zip(r, c))
-            for k in range(2, n // 2 + 1))
+    for m, d in group.elements.items():
+        g = [rows[r] for r in m]
+        key = (d, sum([g[i][i] for i in diagonal]) % N)
+        if half > 1:
+            gk, cols = g, list(zip(*g))
+            for k in range(2, half + 1):
+                # tr(g^(k-1) g), with g^(k-1) in gk
+                key += (sum([x * y for r, c in zip(gk, cols)
+                             for x, y in zip(r, c)]) % N,)
+                if k < half:
+                    gk = [[sum([x * y for x, y in zip(r, c)]) % N for c in cols]
+                          for r in gk]
         keys[key] = keys.get(key, 0) + 1
     classes = {}
     for (d, *p), count in keys.items():
+        d = group.determinants[d]
+        p = [_decode(r, bits, den ** k) for k, r in enumerate(p, 1)]
         e = [cyc_one()]
         for k in range(1, len(p) + 1):
             terms = [(e[k - i], p[i - 1]) for i in range(1, k + 1)]
@@ -339,8 +469,7 @@ def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
                            "the budget of %d" % (maxdeg, work, MOLIEN_BUDGET))
     order = group.order
     bits = _digit_bits(order, n, maxdeg)
-    base, half = 1 << bits, 1 << bits - 1
-    N = (1 << 16 * bits) - (1 << 8 * bits) + 1
+    N = _modulus(bits)
     totals = [0] * (maxdeg + 1)
     for cs, count in classes.items():
         if any(c.den != 1 for c in cs):
@@ -348,7 +477,7 @@ def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
                                   "Z[zeta_48]: not a finite group" % (cs,))
         # det(1 - g t) = sum_k (-1)^k c_k t^k, so its inverse has h_m =
         # sum_k (-1)^(k+1) c_k h_{m-k}: the nonzero c_k's images, signed
-        terms = [(-k, (-1) ** (k + 1) * sum(v << bits * i for i, v in c.terms))
+        terms = [(-k, (-1) ** (k + 1) * _encode(c, bits))
                  for k, c in enumerate(cs, 1) if c.terms]
         hs = [0] * n + [count]  # count * h_m, after n zeros for m < 0
         for _ in range(maxdeg):
@@ -359,14 +488,8 @@ def molien(group: MatrixGroup, maxdeg: int) -> QSeries:
         totals = list(map(int.__add__, totals, hs[n:]))
     out = {}
     for m, total in enumerate(totals):
-        # the sum's balanced residue mod N as 16 balanced base-X digits
-        total = (total + (N >> 1)) % N - (N >> 1)
-        digits = []
-        for _ in range(16):
-            total, d = divmod(total + half, base)
-            digits.append(d - half)
         # raises ValueError if a nonreal part survived
-        r = Cyclo(digits).rational() / order
+        r = _decode(total, bits).rational() / order
         if r.denominator != 1 or r < 0:
             raise ArithmeticError("Molien coefficient %s of t^%d is not a "
                                   "nonnegative integer" % (r, m))

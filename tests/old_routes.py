@@ -12,16 +12,18 @@ search behind svoa.modrep's closed-form S_22, the PLU group action behind svoa.i
 split, the whole-matrix breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
 by determinant and lower half, and its once-per-degree fold, the
-Q(zeta_48) Molien recurrence behind svoa.modrep's integer ring map, and the
-dict-backed q-series behind svoa.qseries's slot form.
+Q(zeta_48) Molien recurrence behind svoa.modrep's integer ring map, the
+closure and class tally by `dot` on interned entries behind the same map's
+images, and the dict-backed q-series behind svoa.qseries's slot form.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
 every product.  On top of it sit the triple-loop matrix product, the
 cofactor determinant, breadth-first group closure, the Molien recurrence
 and the push-style polynomial shear, as they were before the kernel.
-Apart from the PLU group action and the Q(zeta_48) Molien recurrence, kept
-as they ran on the fused kernel, nothing here calls `svoa.cyclo.dot`;
+Apart from the PLU group action, the Q(zeta_48) Molien recurrence and the
+`dot` closure and class tally, kept as they ran on the fused kernel,
+nothing here calls `svoa.cyclo.dot`;
 results are compared through `Cyclo.num` and `Cyclo.den`.
 """
 
@@ -29,13 +31,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, floor, gcd
 
-from svoa.cyclo import Cyclo, cyc_zero, dot, power, sqrt2, zeta_pow
+from svoa.cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
+from svoa.linalg import gauss_jordan
 from svoa.modrep import CycMatrix, _diag_matrix, _phase, fusion_type
-from svoa.modrep import char_classes as char_classes_by_power_sums
 from svoa.lattices import theta_series
 from svoa.qseries import (DEFAULT_TRUNC, GRID, E4, GridError, QSeries, _coeff_div,
                           cbrt_j, chi_half, cusp1_chi_half, theta_Z, theta_Z_half,
@@ -252,14 +254,104 @@ def molien(elements, maxdeg):
     return [v.rational() / len(elements) for v in total]
 
 
+# -- the closure and class tally that svoa.modrep's images in Z/Phi_48(2^B) replaced --
+
+
+def dot_closure(gens):
+    """The closure of the CycMatrix generators `gens` on interned entries, as
+    the map from each element, a CycMatrix, to its determinant: entry j of
+    row * g is one `dot` over g's column j per new tuple of entry ids at its
+    nonzero places, and every element becomes a CycMatrix at the end."""
+    n = gens[0].n
+    entries, entry_ids = [], {}  # entry id -> Cyclo, (terms, den) -> entry id
+    rows, row_ids = [], {}  # row id -> tuple of entry ids, and back
+
+    def intern(key, value, values, ids):
+        i = ids.setdefault(key, len(values))
+        if i == len(values):
+            values.append(value)
+        return i
+
+    def entry(x):
+        return intern((x.terms, x.den), x, entries, entry_ids)
+
+    for r in CycMatrix.identity(n).rows:
+        row = tuple(map(entry, r))
+        intern(row, row, rows, row_ids)
+    cols = []
+    for g in gens:
+        places = [[k for k in range(n) if not g.rows[k][j].is_zero()] for j in range(n)]
+        cols.append([(ks, [g.rows[k][j] for k in ks], {}) for j, ks in enumerate(places)])
+    tables = [{} for _ in gens]  # per generator: row id -> id of row * g
+
+    def times(r, k):
+        j = tables[k].get(r)
+        if j is None:
+            row, prod = rows[r], []
+            for ks, col, memo in cols[k]:
+                key = tuple([row[i] for i in ks])
+                e = memo.get(key)
+                if e is None:
+                    e = memo[key] = entry(dot(zip([entries[i] for i in key], col)))
+                prod.append(e)
+            prod = tuple(prod)
+            j = tables[k][r] = intern(prod, prod, rows, row_ids)
+        return j
+
+    gen_dets = [Cyclo.coerce(gauss_jordan(g.rows)[0]) for g in gens]
+    det_times = {}  # (det, generator) -> their product
+    full = tuple(range(n))  # the identity as row ids
+    elements = {full: cyc_one()}  # element as row ids -> its determinant
+    frontier = [full]
+    while frontier:
+        new = []
+        for m in frontier:
+            for k, d in enumerate(gen_dets):
+                p = tuple([times(r, k) for r in m])
+                if p not in elements:
+                    key = (elements[m], k)
+                    if key not in det_times:
+                        det_times[key] = key[0] * d
+                    elements[p] = det_times[key]
+                    new.append(p)
+        frontier = new
+    return {CycMatrix([[entries[e] for e in rows[r]] for r in m]): d
+            for m, d in elements.items()}
+
+
+def power_sum_classes(dets):
+    """The class tally of a map CycMatrix -> det by (det, p_1, ..., p_{n//2}),
+    p_k = tr(g^k) one `dot` of the rows of g^(k-1) with the columns of g,
+    then Newton's identities and the conjugate upper half once per class."""
+    if not dets:
+        raise ValueError("a matrix group has at least its identity; got no elements")
+    n = next(iter(dets)).n
+    keys = {}
+    for g, d in dets.items():
+        key = (d, dot((r[i], 1) for i, r in enumerate(g.rows))) + tuple(
+            dot((x, y) for r, c in zip((g ** (k - 1)).rows, zip(*g.rows))
+                for x, y in zip(r, c))
+            for k in range(2, n // 2 + 1))
+        keys[key] = keys.get(key, 0) + 1
+    classes = {}
+    for (d, *p), count in keys.items():
+        e = [cyc_one()]
+        for k in range(1, len(p) + 1):
+            terms = [(e[k - i], p[i - 1]) for i in range(1, k + 1)]
+            e.append(dot(terms[::2], terms[1::2]) * Fraction(1, k))
+        classes[tuple(e[k] if 2 * k <= n else d * e[n - k].sigma(-1)
+                      for k in range(1, n + 1))] = count
+    return classes
+
+
 # -- the Q(zeta_48) recurrence that svoa.modrep.molien's ring map replaced ------
 
 
 def dot_molien(group, maxdeg):
-    """Molien coefficients t^0..t^maxdeg of a MatrixGroup, its classes'
-    series 1/det(1 - g t) advanced in step by one `dot` per class and degree
-    and summed once per degree in Q(zeta_48)."""
-    classes = char_classes_by_power_sums(group)
+    """Molien coefficients t^0..t^maxdeg of a MatrixGroup, its classes
+    (`power_sum_classes`) advancing their series 1/det(1 - g t) in step by
+    one `dot` per class and degree, summed once per degree in Q(zeta_48)."""
+    classes = power_sum_classes(group.dets)
     n = len(next(iter(classes)))
     counts = tuple(classes.values())
     tails = [[Cyclo([1])] for _ in counts]

@@ -2,12 +2,13 @@
 
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import old_routes
 from svoa import modrep
-from svoa.cyclo import cyc_one, dot, sqrt2, zeta_pow
+from svoa.cyclo import Cyclo, cyc_one, dot, sqrt2, zeta_pow
 from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, _diag_matrix,
                          char_classes, character_rep, generate_group, molien,
                          verlinde)
@@ -60,6 +61,12 @@ def test_group_orders():
     assert generate_group([T]).order == 48
     G = generate_group([S, T])
     assert G.order == 1152
+
+
+def test_singular_generator_is_rejected():
+    # its closure would be {1, g} with g^2 = g, and Molien would read 3/2 at t^1
+    with pytest.raises(ValueError, match="generator 1 is singular"):
+        generate_group([CycMatrix.identity(2), CycMatrix([[1, 0], [0, 0]])])
 
 
 def test_group_cap(monkeypatch):
@@ -210,6 +217,16 @@ _ORDERS = {Fraction(1, 2): 1152, 1: 576, Fraction(3, 2): 384, 2: 72,
            Fraction(47, 2): 1152, 0: 6, 4: 18, 6: 24, 3: 192}
 
 
+def _group(dets):
+    """The MatrixGroup of a map CycMatrix -> det, interned as a closure would."""
+    entries, rows, values, elements = {}, {}, {}, {}
+    for g, d in dets.items():
+        m = tuple(rows.setdefault(tuple(entries.setdefault(x, len(entries)) for x in r),
+                                  len(rows)) for r in g.rows)
+        elements[m] = values.setdefault(Cyclo.coerce(d), len(values))
+    return MatrixGroup(tuple(entries), tuple(rows), tuple(values), elements)
+
+
 def _assert_closure_matches(gens, order):
     G = generate_group(gens)
     oracle = old_routes.generate_group([old_routes.dense_matrix(g) for g in gens])
@@ -277,17 +294,51 @@ def test_class_tally_matches_per_element_minors(case):
             == {_coordinates([cs]): k for cs, k in oracle.items()})
 
 
+@pytest.mark.parametrize("case", list(_ORDERS) + _OTHER_SETS)
+def test_closure_and_tally_match_the_dot_routes(case):
+    # the same elements, determinants and classes, bit for bit, as the
+    # closure and tally that took a dot per new entry and per element
+    G = generate_group(_generators(case)[0])
+    dets = old_routes.dot_closure(_generators(case)[0])
+    assert G.dets == dets
+    assert all((d.terms, d.den) == (dets[g].terms, dets[g].den) for g, d in G.dets.items())
+    assert char_classes(G) == old_routes.power_sum_classes(dets)
+
+
 def test_group_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         generate_group([CycMatrix.identity(3), CycMatrix.identity(4)])
 
 
-def test_group_cap_bounds_infinite_closure(monkeypatch):
+def _record_widths(monkeypatch):
+    """The set that collects every width modrep._width returns from now on."""
+    used, width = set(), modrep._width
+
+    def recorded(*args):
+        bits = width(*args)
+        used.add(bits)
+        return bits
+
+    monkeypatch.setattr(modrep, "_width", recorded)
+    return used
+
+
+@pytest.mark.parametrize("rows, widths", [
+    ([[1, 1], [0, 1]], 1),
+    ([[2, 1], [1, 1]], 4),
+    ([[Fraction(1, 2)]], 4),
+    ([[2]], 4),
+], ids=["unipotent", "fibonacci", "half", "two"])
+def test_group_cap_bounds_infinite_closure(monkeypatch, rows, widths):
+    # entries growing without bound: the images widen as they grow, at least
+    # `widths` times, and stay exact up to the cap
     monkeypatch.setattr(modrep, "CLOSURE_CAP", 500)
+    used = _record_widths(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="cap 500"):
-        generate_group([CycMatrix([[1, 1], [0, 1]])])
+        generate_group([CycMatrix(rows)])
     assert time.perf_counter() - start < 1
+    assert len(used) > widths
 
 
 # every rank of _ORDERS; the first four lead, as their ids did before the rest
@@ -308,13 +359,13 @@ def test_molien_rejects_a_set_that_is_not_a_group():
     # (1/3)(1/(1-t)^3 + 2/((1-t)^2 (1+t))) = 1 + 5/3 t + ..., on both routes
     for route in (molien, old_routes.dot_molien):
         with pytest.raises(ArithmeticError, match="5/3 of t\\^1"):
-            route(MatrixGroup(signs), 4)
+            route(_group(signs), 4)
 
 
 def test_molien_reports_a_nonreal_sum_as_the_dot_recurrence_does():
     # 1 - 1 - i at t^1: a negative coordinate, read from the balanced residue
-    units = MatrixGroup({CycMatrix([[1]]): 1, CycMatrix([[-1]]): -1,
-                         CycMatrix([[zeta_pow(36)]]): zeta_pow(36)})
+    units = _group({CycMatrix([[1]]): 1, CycMatrix([[-1]]): -1,
+                    CycMatrix([[zeta_pow(36)]]): zeta_pow(36)})
     for route in (molien, old_routes.dot_molien):
         with pytest.raises(ValueError, match=r"not a rational element: \(-1\*z\^12\)"):
             route(units, 3)
@@ -322,13 +373,13 @@ def test_molien_reports_a_nonreal_sum_as_the_dot_recurrence_does():
 
 def test_molien_rejects_an_empty_group():
     with pytest.raises(ValueError, match="no elements"):
-        molien(MatrixGroup({}), 3)
+        molien(_group({}), 3)
 
 
 def test_molien_rejects_coefficients_off_the_algebraic_integers():
     # [[1/2]] has infinite order: its characteristic polynomial 1 - t/2 has
     # no image in Z/Phi_48(2^B)
-    halves = MatrixGroup({CycMatrix([[1]]): 1, CycMatrix([[Fraction(1, 2)]]): Fraction(1, 2)})
+    halves = _group({CycMatrix([[1]]): 1, CycMatrix([[Fraction(1, 2)]]): Fraction(1, 2)})
     with pytest.raises(ArithmeticError, match="not a finite group"):
         molien(halves, 2)
 
@@ -373,33 +424,93 @@ def test_a_narrowed_digit_width_breaks_molien(monkeypatch):
     assert [rho.coeff(GRID * k) for k in range(401)] != oracle
 
 
+def test_a_narrowed_closure_width_breaks_the_closure(monkeypatch):
+    T, S = character_rep(Fraction(1, 2))
+    oracle = old_routes.generate_group([old_routes.dense_matrix(g) for g in (S, T)])
+    used = _record_widths(monkeypatch)
+    generate_group([S, T])
+    # X = 8: D = 4 times an entry reaches a coordinate of 4, past a balanced digit
+    narrow = 3
+    assert narrow < min(used)
+    monkeypatch.setattr(modrep, "_width", lambda bits, bound, den: narrow)
+    try:
+        G = generate_group([S, T])
+    except (ArithmeticError, ValueError, RuntimeError):
+        return
+    assert {_coordinates(g.rows) for g in G.dets} != {_coordinates(g) for g in oracle}
+
+
+def test_a_narrowed_class_width_breaks_the_tally(monkeypatch):
+    T, S = character_rep(Fraction(1, 2))
+    G = generate_group([S, T])
+    oracle = old_routes.char_classes([old_routes.dense_matrix(g) for g in G.dets])
+    # the entries' denominators divide D = 2, and the traces' coordinates
+    # over D stay below 2 n D = 12; X = 8 leaves them no room
+    narrow = 3
+    assert lcm(*[x.den for x in G.entries]) == 2
+    assert narrow < modrep._width(2, 12, 2)
+    monkeypatch.setattr(modrep, "_width", lambda bits, bound, den: narrow)
+    try:
+        classes = char_classes(G)
+    except (ArithmeticError, ValueError):
+        return
+    assert ({_coordinates([cs]): k for cs, k in classes.items()}
+            != {_coordinates([cs]): k for cs, k in oracle.items()})
+
+
+def test_width_skips_a_modulus_sharing_a_prime_with_the_denominator():
+    # Phi_48(2^4) = 2^64 - 2^32 + 1 is prime; at width 8 it is a unit
+    p = 2 ** 64 - 2 ** 32 + 1
+    assert modrep._modulus(4) == p
+    assert modrep._width(4, 1, p) == 8
+    assert modrep._width(4, 1, 3 * 5 * 7 * 97) == 4
+
+
+def test_classes_of_a_group_over_an_odd_prime():
+    # a reflection with an entry over 97: the images invert 97 mod N, and
+    # the class keys read p_1 back over D = 97
+    g = CycMatrix([[-1, Fraction(2, 97)], [0, 1]])
+    G = generate_group([g])
+    assert G.order == 2
+    assert char_classes(G) == old_routes.power_sum_classes(G.dets)
+    rho = molien(G, 10)
+    assert [rho.coeff(GRID * k) for k in range(11)] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+
+
+def test_classes_at_dimension_six_take_a_matrix_product():
+    # n = 6 keys p_3 = tr(g^2 g), the one case with a product of images
+    cycle = CycMatrix([[1 if j == (i + 1) % 6 else 0 for j in range(6)] for i in range(6)])
+    G = generate_group([cycle, _diag_matrix([-1] * 6)])
+    assert G.order == 12
+    assert char_classes(G) == old_routes.power_sum_classes(G.dets)
+    rho = molien(G, 12)
+    elements = [old_routes.dense_matrix(g) for g in G.dets]
+    assert [rho.coeff(GRID * k) for k in range(13)] == old_routes.molien(elements, 12)
+
+
 def test_closure_and_molien_dot_counts(monkeypatch):
-    # exact work counts at rank 1/2: a diagonal T costs a product per distinct
-    # entry, and Molien's recurrence makes no dot (1152 traces, 70 Newton sums)
-    count = [0]
+    # exact work counts at rank 1/2: the closure sums on images, decoding
+    # each new entry once, and Molien's one dot per class is its Newton sum
+    count, decodes = [0], [0]
 
     def counted(*args):
         count[0] += 1
         return dot(*args)
 
+    def decoded(*args):
+        decodes[0] += 1
+        return decode(*args)
+
+    decode = modrep._decode
     T, S = character_rep(Fraction(1, 2))
     monkeypatch.setattr(modrep, "dot", counted)
+    monkeypatch.setattr(modrep, "_decode", decoded)
     G = generate_group([S, T])
-    assert count[0] <= 3532
+    # every entry but the identity's one and zero is decoded once
+    assert (count[0], decodes[0], len(G.entries)) == (0, 239, 241)
     count[0] = 0
     molien(G, 48)
-    assert count[0] <= 1222
-
-
-def test_minors_match_cofactor_route():
-    # the other minors are checked by test_class_tally_matches_per_element_minors
-    T, S = character_rep(1)
-    for g in (S, T, S * T, T * S * S * T):
-        rows = old_routes.dense_matrix(g)
-        t, oracle = g.trace(), old_routes.ZERO
-        for i in range(4):
-            oracle = oracle + rows[i][i]
-        assert (t.num, t.den) == (oracle.num, oracle.den)
+    assert count[0] == 70
 
 
 def test_matrix_powers_skip_identity_products(monkeypatch):
