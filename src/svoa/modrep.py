@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
+from .cyclo import Cyclo, cyc_one, cyc_zero, dot, sqrt2, zeta_pow
 from .linalg import gauss_jordan
 from .qseries import GRID, QSeries
 
@@ -74,11 +74,6 @@ class CycMatrix:
         if len(pivots) < n:
             raise ZeroDivisionError("singular matrix")
         return CycMatrix([row[n:] for row in reduced])
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        return power(self, k) if k else CycMatrix.identity(self.n)
 
     def is_identity(self):
         return self == CycMatrix.identity(self.n)

@@ -14,7 +14,8 @@ Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
 by determinant and lower half, and its once-per-degree fold, the
 Q(zeta_48) Molien recurrence behind svoa.modrep's integer ring map, the
 closure and class tally by `dot` on interned entries behind the same map's
-images, and the dict-backed q-series behind svoa.qseries's slot form.
+images, the dict-backed q-series behind svoa.qseries's slot form, and the
+unpruned block count behind svoa.lattices's Cauchy-Schwarz pruning.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -329,7 +330,7 @@ def power_sum_classes(dets):
     keys = {}
     for g, d in dets.items():
         key = (d, dot((r[i], 1) for i, r in enumerate(g.rows))) + tuple(
-            dot((x, y) for r, c in zip((g ** (k - 1)).rows, zip(*g.rows))
+            dot((x, y) for r, c in zip(power(g, k - 1).rows, zip(*g.rows))
                 for x, y in zip(r, c))
             for k in range(2, n // 2 + 1))
         keys[key] = keys.get(key, 0) + 1
@@ -1320,3 +1321,28 @@ def character_rep(c):
         if _relations_hold(S, T):
             return T, S
     raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)
+
+
+def _block_counts(block, terms, norm_max):
+    """{d^2 x.x: count} over x in (Z + a)^n with sum(x) = 0 mod m (m = 0:
+    sum(x) = 0) and d^2 x.x <= norm_max, from the block's `_block_terms`.
+
+    Coordinates are x_i = k_i + a, so d x_i = d k_i + d a is an integer and
+    the condition is sum(k) = -n a mod m.  States after each coordinate are
+    {sum(k) (mod m): {scaled norm: count}}.
+    """
+    n, a, m = block
+    states = {0: {0: 1}}
+    for _ in range(n):
+        new = {}
+        for z, row in states.items():
+            for k, y2 in terms:
+                z2 = (z + k) % m if m else z + k
+                dest = new.setdefault(z2, {})
+                lim = norm_max - y2
+                for norm, cnt in row.items():
+                    if norm <= lim:
+                        dest[norm + y2] = dest.get(norm + y2, 0) + cnt
+        states = new
+    target = int(-n * a)
+    return states.get(target % m if m else target, {})

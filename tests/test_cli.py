@@ -376,6 +376,31 @@ def test_order_env_override(capsys, monkeypatch):
     assert code == 0 and out.strip() == "q^-1 + 744 + 196884 q"
 
 
+@pytest.fixture
+def fresh_parsers():
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_parser_built_once_per_order(capsys, monkeypatch, fresh_parsers):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("prog") == "svoa":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    for env_order, out, builds in (("1", "q^-1 + 744", 1), ("1", "q^-1 + 744", 1),
+                                   ("2", "q^-1 + 744 + 196884 q", 2),
+                                   ("1", "q^-1 + 744", 2)):
+        monkeypatch.setenv("SVOA_ORDER", env_order)
+        assert run(capsys, "series", "j")[1].strip() == out
+        assert len(built) == builds
+
+
 def _readme_examples():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path) as fh:
@@ -596,3 +621,25 @@ def test_json_builds_no_series_text(capsys, monkeypatch, argv):
     monkeypatch.setattr(QSeries, "__str__", refuse)
     code, out, err = run(capsys, "--format", "json", *argv)
     assert code == 0 and not err and json.loads(out)
+
+
+def test_golden_pins_hold_after_other_environments(capsys, monkeypatch, tmp_path,
+                                                   fresh_parsers):
+    # a parser first built under another COLUMNS, and used beside one for
+    # another SVOA_ORDER, prints what the pins recorded
+    monkeypatch.setenv("COLUMNS", "30")
+    for env_order in ("3", None):
+        if env_order:
+            monkeypatch.setenv("SVOA_ORDER", env_order)
+        else:
+            monkeypatch.delenv("SVOA_ORDER")
+        assert run(capsys, "series", "j")[0] == 0
+        with pytest.raises(SystemExit):
+            main(["classify", "--from", "3", "--to", "1"])
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    for fmt in ("text", "json"):
+        test_readme_examples_match_golden_stdout(capsys, monkeypatch, fmt)
+    for i in range(len(_USAGE_ERRORS)):
+        (tmp_path / str(i)).mkdir()
+        test_usage_errors_match_golden_output(capsys, monkeypatch, tmp_path / str(i), i)

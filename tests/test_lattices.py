@@ -1,6 +1,8 @@
 """Lattice catalog, exact theta counting, lattice-theory characters."""
 
+import inspect
 import re
+import sys
 import time
 from fractions import Fraction as F
 from math import isqrt, lcm
@@ -12,9 +14,9 @@ from helpers import agree
 from svoa import lattices
 from svoa.cli import main
 from svoa.extremal import extremal_svoa, orbifold_character
-from svoa.lattices import (LATTICE_NAMES, EnumerationBudgetError, _block_work,
-                           lattice_catalog, lattice_names, svoa_character,
-                           theta_series)
+from svoa.lattices import (LATTICE_NAMES, EnumerationBudgetError, _block_counts,
+                           _block_terms, _block_work, lattice_catalog,
+                           lattice_names, svoa_character, theta_series)
 from svoa.linalg import gauss_jordan
 from svoa.qseries import GRID, E4, QSeries, j_function
 
@@ -360,6 +362,70 @@ def test_block_bound_covers_the_count(name):
                 states = {((z + k) % m if m else z + k, y + y2)
                           for z, y in states for k, y2 in terms if y + y2 <= norm_max}
             assert _block_work(terms, n, m, d, norm_max) >= work, (n, a, m, trunc)
+
+
+def _products(count, *args):
+    """count(*args) and its (state x term) products: the runs of its
+    `if norm <= lim:` line, seen by a line tracer."""
+    lines, first = inspect.getsourcelines(count)
+    line = first + next(i for i, text in enumerate(lines) if "if norm <= lim:" in text)
+    runs = [0]
+
+    def local(frame, event, arg):
+        runs[0] += event == "line" and frame.f_lineno == line
+        return local
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is count.__code__ else None)
+    try:
+        return count(*args), runs[0]
+    finally:
+        sys.settrace(outer)
+
+
+@pytest.mark.parametrize("name", ["Z5", "D3", "D6", "D4+", "D12+", "E8", "E7",
+                                  "E7E7+", "A15+"])
+def test_pruned_block_counts_match_old_route(name):
+    # Cauchy-Schwarz pruning drops only states that cannot close, and x -> -x
+    # gives a block and its mirror (n, -a mod 1, m) the same counts
+    L = lattice_catalog(name)
+    d = lcm(*(F(a).denominator for coset in L.cosets for _, a, _ in coset))
+    blocks = {block for coset in L.cosets for block in coset}
+    mirrors = {(n, a, m) for n, a, m in blocks if a != -a % 1 and (n, -a % 1, m) in blocks}
+    assert bool(mirrors) == (name in ("E7E7+", "A15+"))
+    for trunc in (1, 7, 30, 144, 482):
+        norm_max = d * d * (trunc - 1) // 24
+        counts = {}
+        for block in blocks:
+            terms = _block_terms(block[1], d, norm_max)
+            counts[block] = _block_counts(block, terms, d, norm_max)
+            assert counts[block] == old_routes._block_counts(block, terms, norm_max), \
+                (block, trunc)
+        for n, a, m in mirrors:
+            assert counts[n, a, m] == counts[n, -a % 1, m], (n, a, m, trunc)
+
+
+def test_pruning_is_live():
+    # at A15+, trunc 144, every block's pruned count makes fewer products
+    d, norm_max = 4, 16 * 143 // 24
+    for j in (0, 4, 8, 12):
+        block = (16, F(j, 16), 0)
+        terms = _block_terms(block[1], d, norm_max)
+        new, pruned = _products(_block_counts, block, terms, d, norm_max)
+        old, unpruned = _products(old_routes._block_counts, block, terms, norm_max)
+        assert new == old and 0 < pruned < unpruned, (block, pruned, unpruned)
+
+
+def test_mirror_pairs_counted_once(monkeypatch):
+    counted = []
+    count = lattices._block_counts
+    monkeypatch.setattr(lattices, "_block_counts",
+                        lambda block, *args: counted.append(block) or count(block, *args))
+    for name in ("E7E7+", "A15+"):
+        counted.clear()
+        L = lattice_catalog(name)
+        theta_series(L, 3 * GRID)
+        assert len(counted) == len({b for coset in L.cosets for b in coset}) - 1 == 3
 
 
 def test_budget_overrun_fails_before_counting():
