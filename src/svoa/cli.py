@@ -3,10 +3,11 @@ classification tables, the weight-enumerator solve, component characters,
 Molien series, fusion rings, lattice theta series and orbifold characters.
 
 `run` is check -> call -> render.  The parser, built once per process and
-per SVOA_ORDER value, and one block of checks reject bad input (exit 64)
-before any work; one library call computes the result; the renderer of its
-type returns the JSON object and a callable for the text lines, and one
-write prints the format asked for, so --format json builds no text.
+per SVOA_ORDER value, and one block of checks refuse bad input (exit 64)
+and an orbifold over budget (exit 1) before any work; one library call
+computes the result; the renderer of its type returns the JSON object and a
+callable for the text lines, and one write prints the format asked for, so
+--format json builds no text.
 
 Exit codes: 0 success, 1 computation error, 64 usage error.
 """
@@ -231,8 +232,10 @@ def run(argv) -> int:
         parser.error("classify needs 0 <= --from <= --to <= --max")
     if cmd == "molien" and args.deg < 0:
         parser.error("molien needs --deg >= 0")
-    if cmd == "orbifold" and args.lattice.dim % 8:
-        parser.error("orbifold needs a lattice whose dimension is a multiple of 8")
+    if cmd == "orbifold":
+        if args.lattice.dim % 8:
+            parser.error("orbifold needs a lattice whose dimension is a multiple of 8")
+        extremal.check_orbifold_work(trunc, args.lattice.dim)
 
     if cmd == "series":
         out = _series(qseries.standard_series(args.name, trunc, c=args.rank, h=args.weight))

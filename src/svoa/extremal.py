@@ -167,13 +167,15 @@ def buermann_alpha(c, r: int, kind: str) -> Fraction:
     (generator power) in powers of 1/H, H the hauptmodul, read off directly
     as the Lagrange-Buermann coefficient alpha_r = [p^(r-1)] (g' * phi^r) / r
     with p = q^(step/48) and phi = p*H.  Agrees with the a_r of the linear
-    solve for 0 < r <= k."""
+    solve for 0 < r <= k; RuntimeError past SERIES_BUDGET, before any series."""
     c = Fraction(c)
     if r < 1:
         raise ValueError("r must be >= 1")
     kd = _kind(kind)
     step = kd.step
     rel = step * (r + 4) + kd.extra
+    # measured: at most 22 + 2 log2(r) products, none past rel + 2c + 3 GRID
+    check_work(22 + 2 * r.bit_length(), rel + int(2 * c) + 3 * GRID)
     vac = vacuum(c, rel)
     g = vac * (kd.gen(rel + GRID) ** -int(c / kd.unit))
     haupt = kd.haupt(rel + 2 * GRID).shift(step)  # monic in q^(step/48)
@@ -362,6 +364,11 @@ def hw_enumerator(x: QSeries, c) -> HighestWeightEnum:
 # -- orbifold characters --------------------------------------------------------------
 
 
+def check_orbifold_work(trunc, c):
+    """RuntimeError if orbifold_character(theta cut at trunc, c) would exceed SERIES_BUDGET."""
+    check_work(70, trunc + 2 * c)  # four eta quotients to the -c: at most 25 measured
+
+
 def orbifold_character(theta: QSeries, c) -> QSeries:
     """Character of the involution orbifold of a lattice theory with theta
     series `theta` and rank c in 8Z; RuntimeError past SERIES_BUDGET."""
@@ -372,7 +379,7 @@ def orbifold_character(theta: QSeries, c) -> QSeries:
         raise ValueError("theta series must start with 1")
     cc = int(c)
     t = theta.trunc
-    check_work(70, t + 2 * cc)  # four eta quotients to the -c: at most 25 measured
+    check_orbifold_work(t, cc)
     # each to t - 2c, where theta * eta^-c is cut
     eta_c, one_plus, half_minus, half_plus = (
         eta_quotient([(step, -cc * e) for step, e in exps], t - 2 * cc) for exps in

@@ -3,20 +3,22 @@ and the associated lattice-SVOA characters theta/eta^n.
 
 Every catalog lattice except Leech (closed form) is a union of cosets, each
 a product of blocks (n, a, m): the vectors of (Z + a)^n whose coordinate
-sum is 0 mod m, where m = 1 means no condition and m = 0 a zero sum
-(Conway & Sloane, SPLAG ch. 4 and 7).  A block is counted coordinate by
-coordinate over (norm, sum) states in exact integers, polynomially in the
-order; a zero-sum state that the coordinates still to come cannot close
-within the norm bound is dropped (Cauchy-Schwarz, as in Fincke & Pohst
-1985).  x -> -x maps block (n, a, m) onto (n, -a mod 1, m), so a mirror
-pair is counted once.  The coset list is the only description of a lattice.
+sum is 0 mod m, where m = 1 means no condition and m = 0 a zero sum (Conway
+& Sloane, SPLAG ch. 4 and 7).  A block is counted coordinate by coordinate
+over (norm, sum) states in exact integers, polynomially in the order; a
+zero-sum state that the coordinates still to come cannot close within the
+norm bound is dropped (Cauchy-Schwarz, as in Fincke & Pohst 1985).  x -> -x
+maps block (n, a, m) onto (n, -a mod 1, m), so a mirror pair is counted
+once.  THETA_BUDGET is charged first: each block's (state x term) products
+as if unpruned, each coset product by its factors' norm counts.  The coset
+list is the only description of a lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .qseries import GRID, QSeries, E4, check_work, delta, eta_quotient
 
@@ -25,10 +27,10 @@ class EnumerationBudgetError(RuntimeError):
     pass
 
 
-# cap on the (state x term) products of one theta count, charged for every
-# block before pruning; at the cap A15+, the costliest catalog entry per
-# order, reaches q^127 in 0.46-0.81 s and 16 MB peak RSS (2-vCPU VM,
-# Python 3.11.7)
+# cap on the products of one theta count, every block's (state x term)
+# products before pruning and every coset product, all bounded before
+# counting; at the cap A15+, the costliest catalog entry per order, reaches
+# q^127 in 0.46-0.81 s and 16 MB peak RSS (2-vCPU VM, Python 3.11.7)
 THETA_BUDGET = 20_000_000
 
 
@@ -94,15 +96,9 @@ def lattice_names():
 # -- exact counting ----------------------------------------------------------------
 
 
-def _charge(counter, work):
-    counter[0] += work
-    if counter[0] > THETA_BUDGET:
-        raise EnumerationBudgetError("theta count needs at least %d products, over "
-                                     "the budget of %d" % (counter[0], THETA_BUDGET))
-
-
 def _block_work(terms, n, m, d, norm_max):
-    """Upper bound on the (state x term) products of counting a block.
+    """Upper bounds on the (state x term) products of counting a block and
+    on the norms in its count.
 
     After i coordinates there are at most len(terms)^i states, and at most
     (sum classes) x (norms per class).  For m > 0 there are m classes, and
@@ -110,7 +106,7 @@ def _block_work(terms, n, m, d, norm_max):
     differences.  For m = 0 the class is the exact sum s of the k's, which
     Cauchy-Schwarz on x = k + a confines to |s + i a| <= sqrt(i norm_max)/d;
     within it the norm is d^2 sum(k^2) plus a constant, and sum(k^2) = s
-    mod 2.
+    mod 2.  The count is one class, so it has at most `norms` norms.
     """
     t = len(terms)
     if m:
@@ -123,7 +119,7 @@ def _block_work(terms, n, m, d, norm_max):
         work += t * states
         classes = m or (2 * isqrt(i * norm_max) + 2) // d + 1
         states = min(states * t, classes * norms)
-    return work
+    return work, norms
 
 
 def _block_terms(a, d, norm_max):
@@ -176,8 +172,7 @@ def _mirror(block):
     return n, min(a, -a % 1), m
 
 
-def _mul_truncated(x, y, norm_max, counter):
-    _charge(counter, len(x) * len(y))
+def _mul_truncated(x, y, norm_max):
     out = {}
     for nx, cx in x.items():
         for ny, cy in y.items():
@@ -190,9 +185,10 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     """Theta series sum over lattice vectors of q^(norm/2), exact integers.
 
     Counts every vector of norm below 2 * trunc / GRID (default trunc
-    q^5) coset by coset; THETA_BUDGET caps the (state x term) products of
-    the count, every block's bounded before the first coordinate of any,
-    beyond which EnumerationBudgetError is raised.  The Leech entry
+    q^5) coset by coset.  Before any block is counted, the bounds on every
+    block's (state x term) products and on every coset product (norms of
+    the running product x norms of the block) are summed, and past
+    THETA_BUDGET EnumerationBudgetError is raised.  The Leech entry
     dispatches to its closed form, refused past qseries.SERIES_BUDGET.
     """
     if trunc is None:
@@ -205,12 +201,16 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     d2 = d * d
     # q^(x.x/2) sits at grid index 24 x.x, which must stay below trunc
     norm_max = d2 * (trunc - 1) // 24
-    counter = [0]
     terms = {block: _block_terms(block[1], d, norm_max)
              for coset in L.cosets for block in coset}
-    for (n, _, m), t in terms.items():
-        _charge(counter, _block_work(t, n, m, d, norm_max))
-    # a mirror pair is counted once, though both were charged above
+    # charged before any counting: every block (a mirror pair's both), and
+    # every coset product at the product of its factors' norm bounds
+    bounds = {(n, a, m): _block_work(t, n, m, d, norm_max) for (n, a, m), t in terms.items()}
+    work = sum(w for w, _ in bounds.values())
+    work += sum(prod(bounds[b][1] for b in c[:i + 1]) for c in L.cosets for i in range(len(c)))
+    if work > THETA_BUDGET:
+        raise EnumerationBudgetError("theta count needs up to %d products, over "
+                                     "the budget of %d" % (work, THETA_BUDGET))
     blocks = {}
     for block, t in terms.items():
         if _mirror(block) not in blocks:
@@ -219,7 +219,7 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     for coset in L.cosets:
         counts = {0: 1}
         for block in coset:
-            counts = _mul_truncated(counts, blocks[_mirror(block)], norm_max, counter)
+            counts = _mul_truncated(counts, blocks[_mirror(block)], norm_max)
         for norm, cnt in counts.items():
             if (norm * 24) % d2:
                 raise ValueError("norm %s off the exponent grid"

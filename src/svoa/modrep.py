@@ -15,22 +15,21 @@ of Phi_48(X), onto Z/N with N = Phi_48(X) = X^16 - X^8 + 1, and an image is
 read back as 16 balanced base-X digits, exactly when B bounds the
 coordinates (`_encode`, `_decode`).
 
-The group these generate is closed on interned entries rather than by
-whole matrix products: each distinct entry gets an id, a row is a tuple of
-entry ids, and each distinct row meets each generator once, column by
-column through a memo on the entries that column reads.  A new entry is a
-sum of products of images, looked up by its image, and decoded only if the
-image is new; B doubles whenever the entries' coordinates would outgrow
-it.  The closure itself runs on tuples of row ids, carrying each element's
+The group these generate is closed on interned entries rather than by whole
+matrix products: each distinct entry gets an id, a row is a tuple of entry
+ids, and each distinct row meets each generator once, column by column
+through a memo on the entries that column reads.  A new entry is a sum of
+products of images, looked up by its image, and decoded only if the image
+is new; B doubles whenever the entries' coordinates would outgrow it.  The
+closure itself runs on tuples of row ids, carrying each element's
 determinant as det(m g) = det(m) det(g), one product per (det, generator)
-pair, and builds matrices only when asked for them.  Molien then sums
-1/det(1 - g t) over the classes of equal characteristic polynomial, keyed
-by the determinant and the images of the power sums p_k = tr(g^k),
-k <= n/2.  Newton's identities turn the decoded power sums into the lower
-half e_1..e_{n/2} of the coefficients once per class, and the upper half
-follows since the eigenvalues are roots of unity: e_{n-k} = det *
-conj(e_k).  The classes' recurrences run on the images too, and each
-degree's sum is read back exactly as its 16 base-2^B digits.
+pair.  Molien then sums 1/det(1 - g t) over the classes of equal
+characteristic polynomial, keyed by the determinant and the images of the
+power sums p_k = tr(g^k), k <= n/2.  Newton's identities turn the decoded
+power sums into the lower half e_1..e_{n/2} of the coefficients once per
+class, and the upper half follows since the eigenvalues are roots of unity:
+e_{n-k} = det * conj(e_k).  The classes' recurrences run on the images too,
+and each degree's sum is read back exactly as its 16 base-2^B digits.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .qseries import GRID, QSeries
 
 
 class CycMatrix:
-    """Small dense matrix over Q(zeta_48), hashable for group closure."""
+    """Small dense matrix over Q(zeta_48)."""
 
     __slots__ = ("n", "rows")
 
@@ -82,9 +81,6 @@ class CycMatrix:
         if not isinstance(other, CycMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return "CycMatrix(%s)" % (
@@ -223,13 +219,6 @@ class MatrixGroup:
     @property
     def order(self):
         return len(self.elements)
-
-    @property
-    def dets(self):
-        """The map from each element, as a CycMatrix, to its determinant,
-        built on each read."""
-        return {CycMatrix([[self.entries[e] for e in self.rows[r]] for r in m]):
-                self.determinants[d] for m, d in self.elements.items()}
 
 
 def generate_group(gens) -> MatrixGroup:

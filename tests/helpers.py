@@ -2,6 +2,8 @@
 
 from math import lcm
 
+from svoa.modrep import CycMatrix
+
 
 def agree(x, y):
     """The coefficients of the series x and y agree below their common
@@ -19,3 +21,19 @@ def denominator_profile(a):
         acc = lcm(acc, c.denominator)
         out.append(acc)
     return out
+
+
+class Element(CycMatrix):
+    """A CycMatrix that can key a map, as the group elements of the tests do."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self.rows)
+
+
+def element_dets(G):
+    """The map from each element of the MatrixGroup G, as an Element, to its
+    determinant."""
+    return {Element([[G.entries[e] for e in G.rows[r]] for r in m]): G.determinants[d]
+            for m, d in G.elements.items()}

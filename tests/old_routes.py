@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, floor, gcd
 
+from helpers import Element, element_dets
 from svoa.cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
 from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            ExtremalSolution, NotDecomposableError, ShadowReport,
@@ -260,9 +261,9 @@ def molien(elements, maxdeg):
 
 def dot_closure(gens):
     """The closure of the CycMatrix generators `gens` on interned entries, as
-    the map from each element, a CycMatrix, to its determinant: entry j of
+    the map from each element, an Element, to its determinant: entry j of
     row * g is one `dot` over g's column j per new tuple of entry ids at its
-    nonzero places, and every element becomes a CycMatrix at the end."""
+    nonzero places, and every element becomes an Element at the end."""
     n = gens[0].n
     entries, entry_ids = [], {}  # entry id -> Cyclo, (terms, den) -> entry id
     rows, row_ids = [], {}  # row id -> tuple of entry ids, and back
@@ -316,7 +317,7 @@ def dot_closure(gens):
                     elements[p] = det_times[key]
                     new.append(p)
         frontier = new
-    return {CycMatrix([[entries[e] for e in rows[r]] for r in m]): d
+    return {Element([[entries[e] for e in rows[r]] for r in m]): d
             for m, d in elements.items()}
 
 
@@ -352,7 +353,7 @@ def dot_molien(group, maxdeg):
     """Molien coefficients t^0..t^maxdeg of a MatrixGroup, its classes
     (`power_sum_classes`) advancing their series 1/det(1 - g t) in step by
     one `dot` per class and degree, summed once per degree in Q(zeta_48)."""
-    classes = power_sum_classes(group.dets)
+    classes = power_sum_classes(element_dets(group))
     n = len(next(iter(classes)))
     counts = tuple(classes.values())
     tails = [[Cyclo([1])] for _ in counts]

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from svoa import babymonster, cli, extremal, invariants, qseries
+from svoa import babymonster, cli, extremal, invariants, lattices, qseries
 from svoa.cli import main
 from svoa.qseries import QSeries
 
@@ -320,6 +320,19 @@ def test_huge_molien_degree_fails_fast(capsys):
 def test_huge_series_order_fails_fast(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and "budget" in err
+
+
+def test_orbifold_refuses_its_series_before_theta(capsys, monkeypatch):
+    # at order 8000 Leech's theta passes its own budget and the characters'
+    # does not, so the refusal must come before theta is computed
+    def count(*args):
+        raise AssertionError("theta was computed")
+
+    monkeypatch.setattr(lattices, "theta_series", count)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--order", "8000", "orbifold", "--lattice", "Leech")
     assert time.perf_counter() - start < 1
     assert code == 1 and out == "" and "budget" in err
 

@@ -2,12 +2,14 @@
 verdicts."""
 
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import old_routes
 from helpers import agree
+from svoa import extremal
 from svoa.extremal import (E_RANKS, ExtremalError, NotDecomposableError,
                            buermann_alpha, classify, classify_range,
                            decompose_character, extremal_svoa, extremal_voa,
@@ -122,6 +124,36 @@ def test_buermann_matches_derivative_loop():
     for c, r, kind in items:
         assert buermann_alpha(c, r, kind) == old_routes.buermann_alpha(c, r, kind), \
             (c, r, kind)
+
+
+def test_buermann_refuses_before_any_series(monkeypatch):
+    def build(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(extremal, "vacuum", build)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="budget"):
+        buermann_alpha(24, 10 ** 5, "VOA")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("c,r,kind", [
+    (24, 1, "VOA"), (72, 3, "VOA"), (200, 5, "VOA"), (24, 200, "VOA"),
+    (8, 1, "SVOA"), (56, 7, "SVOA"), (200, 40, "SVOA"), (56, 300, "SVOA"),
+])
+def test_buermann_charge_covers_its_series_work(monkeypatch, c, r, kind):
+    # one charge, before the first series, covers every product and Miller
+    # pass, and its span every operand's
+    charged, spans = [], []
+    monkeypatch.setattr(extremal, "check_work", lambda *args: charged.append(args))
+    mul, miller = QSeries.__mul__, QSeries._miller
+    monkeypatch.setattr(QSeries, "__mul__", lambda x, y: spans.append(
+        max(x.trunc - x.lead, y.trunc - y.lead)) or mul(x, y))
+    monkeypatch.setattr(QSeries, "_miller", lambda x, *args: spans.append(
+        x.trunc - x.lead) or miller(x, *args))
+    buermann_alpha(c, r, kind)
+    [(products, span)] = charged
+    assert len(spans) <= products and max(spans) <= span, (len(spans), max(spans))
 
 
 # -- decomposition -------------------------------------------------------------------

@@ -346,7 +346,7 @@ def test_budget_guard(monkeypatch):
 @pytest.mark.parametrize("name", ["Z5", "D3", "D6", "D4+", "E7", "E7E7+", "A15+"])
 def test_block_bound_covers_the_count(name):
     # the up-front charge must cover the (state x term) products that the
-    # coordinate-by-coordinate count makes
+    # coordinate-by-coordinate count makes, and the norms it ends with
     L = lattice_catalog(name)
     d = lcm(*(F(a).denominator for coset in L.cosets for _, a, _ in coset))
     for trunc in (1, 7, 30, 144, 482):
@@ -361,7 +361,10 @@ def test_block_bound_covers_the_count(name):
                 work += len(terms) * len(states)
                 states = {((z + k) % m if m else z + k, y + y2)
                           for z, y in states for k, y2 in terms if y + y2 <= norm_max}
-            assert _block_work(terms, n, m, d, norm_max) >= work, (n, a, m, trunc)
+            target = int(-n * a) % m if m else int(-n * a)
+            bound, norms = _block_work(terms, n, m, d, norm_max)
+            assert bound >= work, (n, a, m, trunc)
+            assert norms >= len({y for z, y in states if z == target}), (n, a, m, trunc)
 
 
 def _products(count, *args):
@@ -434,6 +437,51 @@ def test_budget_overrun_fails_before_counting():
     with pytest.raises(EnumerationBudgetError):
         theta_series(lattice_catalog("A15+"), 128 * GRID)
     assert time.perf_counter() - start < 0.1
+
+
+def _count_nothing(*args):
+    raise AssertionError("a block was counted")
+
+
+@pytest.mark.parametrize("name,order", [("E7E7+", 232), ("D12+", 2399)])
+def test_over_the_cap_refused_before_any_block_is_counted(monkeypatch, name, order):
+    # the coset products are charged with the blocks, so the first order past
+    # each cap is refused before counting, not after it (A15+'s q^128 is
+    # test_budget_overrun_fails_before_counting)
+    monkeypatch.setattr(lattices, "_block_counts", _count_nothing)
+    with pytest.raises(EnumerationBudgetError):
+        theta_series(lattice_catalog(name), order * GRID)
+
+
+@pytest.mark.parametrize("name,order", [("E7E7+", 231), ("D12+", 2398), ("A15+", 127)])
+def test_the_cap_edge_orders_still_count(monkeypatch, name, order):
+    monkeypatch.setattr(lattices, "_block_counts", _count_nothing)
+    with pytest.raises(AssertionError, match="counted"):
+        theta_series(lattice_catalog(name), order * GRID)
+
+
+@pytest.mark.parametrize("name", ["Z5", "D6", "D12+", "E8", "E7", "E7E7+", "A15+"])
+def test_charge_covers_the_coset_products(monkeypatch, name):
+    # the charge past the blocks' own bounds covers every product of coset
+    # counts that theta_series makes; the refusal at a budget of -1 reports it
+    L = lattice_catalog(name)
+    d = lcm(*(F(a).denominator for coset in L.cosets for _, a, _ in coset))
+    blocks = {block for coset in L.cosets for block in coset}
+    made, mul, budget = [], lattices._mul_truncated, lattices.THETA_BUDGET
+    monkeypatch.setattr(lattices, "_mul_truncated",
+                        lambda x, y, norm_max: made.append(len(x) * len(y)) or mul(x, y, norm_max))
+    for trunc in (1, 7, 30, 144, 482):
+        norm_max = d * d * (trunc - 1) // 24
+        charged = sum(_block_work(_block_terms(a, d, norm_max), n, m, d, norm_max)[0]
+                      for n, a, m in blocks)
+        monkeypatch.setattr(lattices, "THETA_BUDGET", -1)
+        with pytest.raises(EnumerationBudgetError) as refusal:
+            theta_series(L, trunc)
+        work = int(re.search(r"needs up to (\d+) products", str(refusal.value)).group(1))
+        monkeypatch.setattr(lattices, "THETA_BUDGET", budget)
+        made.clear()
+        theta_series(L, trunc)
+        assert 0 < sum(made) <= work - charged, (trunc, sum(made), work - charged)
 
 
 def test_large_dimension_is_fast():
