@@ -4,23 +4,28 @@ and the associated lattice-SVOA characters theta/eta^n.
 Every catalog lattice except Leech (closed form) is a union of cosets, each
 a product of blocks (n, a, m): the vectors of (Z + a)^n whose coordinate
 sum is 0 mod m, where m = 1 means no condition and m = 0 a zero sum (Conway
-& Sloane, SPLAG ch. 4 and 7).  A block is counted coordinate by coordinate
-over (norm, sum) states in exact integers, polynomially in the order; a
-zero-sum state that the coordinates still to come cannot close within the
-norm bound is dropped (Cauchy-Schwarz, as in Fincke & Pohst 1985).  x -> -x
-maps block (n, a, m) onto (n, -a mod 1, m), so a mirror pair is counted
-once.  THETA_BUDGET is charged first: each block's (state x term) products
-as if unpruned, each coset product by its factors' norm counts.  The coset
-list is the only description of a lattice.
+& Sloane, SPLAG ch. 4 and 7).  This module only counts: a block is counted
+coordinate by coordinate over (norm, sum) states in exact integers,
+polynomially in the order; a zero-sum state that the coordinates still to
+come cannot close within the norm bound is dropped (Cauchy-Schwarz, as in
+Fincke & Pohst 1985).  x -> -x maps block (n, a, m) onto (n, -a mod 1, m),
+so a mirror pair is counted once.  Each count becomes a QSeries, and the
+rest is qseries' arithmetic: a coset's theta is the product of its block
+series, the lattice's the sum over its cosets.  THETA_BUDGET is charged
+first: each block's (state x term) products as if unpruned, each coset
+product by its factors' norm counts.  The coset list is the only
+description of a lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
-from .qseries import GRID, QSeries, E4, check_work, delta, eta_quotient
+from .qseries import GRID, E4, GridError, QSeries, check_work, delta, eta_quotient
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -72,7 +77,7 @@ def lattice_catalog(name: str) -> Lattice:
             raise ValueError("Dn needs n >= 2")
         return Lattice(key, n, (((n, 0, 2),),))
     if key == "E8":
-        return lattice_catalog("D8+")
+        return Lattice("E8", 8, lattice_catalog("D8+").cosets)
     if key == "E7":
         return Lattice("E7", 7, _E7)
     if key == "E7E7+":
@@ -172,22 +177,16 @@ def _mirror(block):
     return n, min(a, -a % 1), m
 
 
-def _mul_truncated(x, y, norm_max):
-    out = {}
-    for nx, cx in x.items():
-        for ny, cy in y.items():
-            if nx + ny <= norm_max:
-                out[nx + ny] = out.get(nx + ny, 0) + cx * cy
-    return out
-
-
 def theta_series(L: Lattice, trunc=None) -> QSeries:
     """Theta series sum over lattice vectors of q^(norm/2), exact integers.
 
     Counts every vector of norm below 2 * trunc / GRID (default trunc
-    q^5) coset by coset.  Before any block is counted, the bounds on every
-    block's (state x term) products and on every coset product (norms of
-    the running product x norms of the block) are summed, and past
+    q^5) block by block.  Each mirror class's count becomes one QSeries
+    (index 24 x.x; a block with a norm off the 1/48 grid raises GridError),
+    a coset's theta is the product of its block series and the lattice's
+    their sum, cut at trunc.  Before any block is counted, the bounds on
+    every block's (state x term) products and on every coset product (norms
+    of the running product x norms of the block) are summed, and past
     THETA_BUDGET EnumerationBudgetError is raised.  The Leech entry
     dispatches to its closed form, refused past qseries.SERIES_BUDGET.
     """
@@ -211,22 +210,16 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     if work > THETA_BUDGET:
         raise EnumerationBudgetError("theta count needs up to %d products, over "
                                      "the budget of %d" % (work, THETA_BUDGET))
-    blocks = {}
+    series = {}
     for block, t in terms.items():
-        if _mirror(block) not in blocks:
-            blocks[_mirror(block)] = _block_counts(block, t, d, norm_max)
-    acc = {}
-    for coset in L.cosets:
-        counts = {0: 1}
-        for block in coset:
-            counts = _mul_truncated(counts, blocks[_mirror(block)], norm_max)
-        for norm, cnt in counts.items():
-            if (norm * 24) % d2:
-                raise ValueError("norm %s off the exponent grid"
-                                 % Fraction(norm, d2))
-            idx = norm * 24 // d2
-            acc[idx] = acc.get(idx, 0) + cnt
-    return QSeries(acc, trunc)
+        if _mirror(block) not in series:
+            counts = _block_counts(block, t, d, norm_max)
+            if any(norm * 24 % d2 for norm in counts):
+                raise GridError("block (%d, %s, %d) has norms off the exponent grid" % block)
+            series[_mirror(block)] = QSeries({norm * 24 // d2: c for norm, c in counts.items()},
+                                             trunc)
+    cosets = (reduce(mul, (series[_mirror(b)] for b in coset)) for coset in L.cosets)
+    return sum(cosets, QSeries.zero(trunc))
 
 
 def svoa_character(L: Lattice, trunc=None) -> QSeries:

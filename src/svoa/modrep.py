@@ -66,14 +66,6 @@ class CycMatrix:
         cols = tuple(zip(*other.rows))
         return CycMatrix([[dot(zip(r, c)) for c in cols] for r in self.rows])
 
-    def inv(self):
-        """Inverse by Gauss-Jordan elimination against the identity."""
-        n = self.n
-        _, pivots, reduced = gauss_jordan(self.rows, CycMatrix.identity(n).rows)
-        if len(pivots) < n:
-            raise ZeroDivisionError("singular matrix")
-        return CycMatrix([row[n:] for row in reduced])
-
     def is_identity(self):
         return self == CycMatrix.identity(self.n)
 
@@ -504,11 +496,15 @@ class FusionTensor:
 def verlinde(S: CycMatrix) -> FusionTensor:
     """Fusion coefficients N_ij^k = sum_n S_in S_jn (S^-1)_nk / S_0n.
 
-    Raises if any entry fails to be a nonnegative rational integer, which
+    A modular S is unitary, so S^-1 is taken as its conjugate transpose,
+    and one product checks S S^-1 = 1 (ValueError otherwise).  Raises as
+    well if any entry fails to be a nonnegative rational integer, which
     signals an S-matrix not of fusion type.
     """
     n = S.n
-    Sinv = S.inv()
+    Sinv = CycMatrix([[x.sigma(-1) for x in col] for col in zip(*S.rows)])
+    if not (S * Sinv).is_identity():
+        raise ValueError("S is not unitary")
     for m in range(n):
         if S.rows[0][m].is_zero():
             raise ValueError("vanishing entry in the vacuum row")

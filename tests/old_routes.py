@@ -14,8 +14,10 @@ Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
 by determinant and lower half, and its once-per-degree fold, the
 Q(zeta_48) Molien recurrence behind svoa.modrep's integer ring map, the
 closure and class tally by `dot` on interned entries behind the same map's
-images, the dict-backed q-series behind svoa.qseries's slot form, and the
-unpruned block count behind svoa.lattices's Cauchy-Schwarz pruning.
+images, the Gauss-Jordan inverse behind svoa.modrep.verlinde's conjugate
+transpose, the dict-backed q-series behind svoa.qseries's slot form, and the
+unpruned block count and the dict convolution of block counts behind
+svoa.lattices's Cauchy-Schwarz pruning and its product of block series.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -30,7 +32,7 @@ results are compared through `Cyclo.num` and `Cyclo.den`.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, floor, gcd
+from math import comb, factorial, floor, gcd, lcm
 
 from helpers import Element, element_dets
 from svoa.cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
@@ -39,8 +41,8 @@ from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
 from svoa.linalg import gauss_jordan
-from svoa.modrep import CycMatrix, _diag_matrix, _phase, fusion_type
-from svoa.lattices import theta_series
+from svoa.modrep import CycMatrix, FusionTensor, _diag_matrix, _phase, fusion_type
+from svoa.lattices import _block_terms, theta_series
 from svoa.qseries import (DEFAULT_TRUNC, GRID, E4, GridError, QSeries, _coeff_div,
                           cbrt_j, chi_half, cusp1_chi_half, theta_Z, theta_Z_half,
                           vacuum)
@@ -1324,6 +1326,9 @@ def character_rep(c):
     raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)
 
 
+# -- the unpruned count and the dict convolution behind svoa.lattices's block series --
+
+
 def _block_counts(block, terms, norm_max):
     """{d^2 x.x: count} over x in (Z + a)^n with sum(x) = 0 mod m (m = 0:
     sum(x) = 0) and d^2 x.x <= norm_max, from the block's `_block_terms`.
@@ -1347,3 +1352,73 @@ def _block_counts(block, terms, norm_max):
         states = new
     target = int(-n * a)
     return states.get(target % m if m else target, {})
+
+
+def _mul_truncated(x, y, norm_max):
+    out = {}
+    for nx, cx in x.items():
+        for ny, cy in y.items():
+            if nx + ny <= norm_max:
+                out[nx + ny] = out.get(nx + ny, 0) + cx * cy
+    return out
+
+
+def dict_theta_series(L, trunc):
+    """theta_series(L, trunc) for a coset-listed lattice, without the budget
+    charge: unpruned block counts, each coset's counts convolved as dicts
+    keyed by scaled norm, and the norms gathered into grid indices."""
+    d = lcm(*(Fraction(a).denominator
+              for coset in L.cosets for _, a, _ in coset))
+    d2 = d * d
+    norm_max = d2 * (trunc - 1) // 24
+    blocks = {block: _block_counts(block, _block_terms(block[1], d, norm_max), norm_max)
+              for coset in L.cosets for block in coset}
+    acc = {}
+    for coset in L.cosets:
+        counts = {0: 1}
+        for block in coset:
+            counts = _mul_truncated(counts, blocks[block], norm_max)
+        for norm, cnt in counts.items():
+            if (norm * 24) % d2:
+                raise ValueError("norm %s off the exponent grid"
+                                 % Fraction(norm, d2))
+            idx = norm * 24 // d2
+            acc[idx] = acc.get(idx, 0) + cnt
+    return QSeries(acc, trunc)
+
+
+# -- the Gauss-Jordan inverse that svoa.modrep.verlinde's conjugate transpose replaced --
+
+
+def verlinde(S: CycMatrix) -> FusionTensor:
+    """Fusion coefficients N_ij^k = sum_n S_in S_jn (S^-1)_nk / S_0n, with
+    S^-1 by Gauss-Jordan elimination against the identity."""
+    n = S.n
+    _, pivots, reduced = gauss_jordan(S.rows, CycMatrix.identity(n).rows)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    Sinv = CycMatrix([row[n:] for row in reduced])
+    for m in range(n):
+        if S.rows[0][m].is_zero():
+            raise ValueError("vanishing entry in the vacuum row")
+    inv_row = [S.rows[0][m].inv() for m in range(n)]
+    # the columns of (S^-1)_mk / S_0m
+    cols = list(zip(*[[x * d for x in r] for r, d in zip(Sinv.rows, inv_row)]))
+    N = []
+    for i in range(n):
+        Ni = []
+        for j in range(n):
+            row = []
+            Sij = [x * y for x, y in zip(S.rows[i], S.rows[j])]
+            for k in range(n):
+                acc = dot(zip(Sij, cols[k]))
+                if not acc.is_rational():
+                    raise ValueError("non-rational fusion coefficient at (%d,%d,%d)" % (i, j, k))
+                v = acc.rational()
+                if v.denominator != 1 or v < 0:
+                    raise ValueError("fusion coefficient %s at (%d,%d,%d) is not a "
+                                     "nonnegative integer" % (v, i, j, k))
+                row.append(int(v))
+            Ni.append(tuple(row))
+        N.append(tuple(Ni))
+    return FusionTensor(n=n, N=tuple(N))

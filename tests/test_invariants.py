@@ -250,11 +250,8 @@ def test_poly_act_matches_plu_route_on_fraction_matrix():
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
                 for _ in range(3)]
         rows[0][0] = 0  # forces a row swap in the PLU step
-        try:
-            CycMatrix(rows).inv()
+        if gauss_jordan(rows)[0]:
             break
-        except ZeroDivisionError:
-            continue
     g = CycMatrix(rows)
     P = MultiPoly({(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)):
                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)})

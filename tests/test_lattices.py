@@ -462,14 +462,20 @@ def test_the_cap_edge_orders_still_count(monkeypatch, name, order):
 
 @pytest.mark.parametrize("name", ["Z5", "D6", "D12+", "E8", "E7", "E7E7+", "A15+"])
 def test_charge_covers_the_coset_products(monkeypatch, name):
-    # the charge past the blocks' own bounds covers every product of coset
-    # counts that theta_series makes; the refusal at a budget of -1 reports it
+    # the charge past the blocks' own bounds covers the nnz(a) x nnz(b)
+    # coefficient products of every series product theta_series makes; the
+    # refusal at a budget of -1 reports it.  Only E7E7+ has cosets of more
+    # than one block, so only it makes products
     L = lattice_catalog(name)
     d = lcm(*(F(a).denominator for coset in L.cosets for _, a, _ in coset))
     blocks = {block for coset in L.cosets for block in coset}
-    made, mul, budget = [], lattices._mul_truncated, lattices.THETA_BUDGET
-    monkeypatch.setattr(lattices, "_mul_truncated",
-                        lambda x, y, norm_max: made.append(len(x) * len(y)) or mul(x, y, norm_max))
+    made, mul, budget = [], QSeries.__mul__, lattices.THETA_BUDGET
+
+    def counted(a, b):
+        made.append(sum(1 for c in a.slots if c) * sum(1 for c in b.slots if c))
+        return mul(a, b)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
     for trunc in (1, 7, 30, 144, 482):
         norm_max = d * d * (trunc - 1) // 24
         charged = sum(_block_work(_block_terms(a, d, norm_max), n, m, d, norm_max)[0]
@@ -481,7 +487,33 @@ def test_charge_covers_the_coset_products(monkeypatch, name):
         monkeypatch.setattr(lattices, "THETA_BUDGET", budget)
         made.clear()
         theta_series(L, trunc)
-        assert 0 < sum(made) <= work - charged, (trunc, sum(made), work - charged)
+        assert sum(made) <= work - charged, (trunc, sum(made), work - charged)
+        assert (sum(made) > 0) == (name == "E7E7+"), (trunc, made)
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z5", "D3", "D6", "D4+", "D12+", "E8", "E7",
+                                  "E7E7+", "A15+"])
+def test_block_series_match_dict_route(name):
+    # a coset's theta is the product of its block series, and the lattice's
+    # the sum over cosets cut at trunc, as the dict convolution of the
+    # unpruned block counts gave it
+    L = lattice_catalog(name)
+    for trunc in (1, 7, 30, 144, 482):
+        th = theta_series(L, trunc)
+        assert th == old_routes.dict_theta_series(L, trunc) and th.trunc == trunc, trunc
+
+
+def test_off_grid_block_is_refused():
+    # Z + 1/4 has norms 1/16, 9/16, ...: q^(1/32) is not on the 1/48 grid
+    L = lattices.Lattice("X", 1, (((1, F(1, 4), 1),),))
+    with pytest.raises(ValueError, match=re.escape("block (1, 1/4, 1)")):
+        theta_series(L, 2 * GRID)
+
+
+def test_e8_is_named_e8():
+    # E8 is D8+ by its cosets, under its own name
+    E8, D8p = lattice_catalog("E8"), lattice_catalog("D8+")
+    assert (E8.name, E8.dim, E8.cosets) == ("E8", 8, D8p.cosets)
 
 
 def test_large_dimension_is_fast():

@@ -153,13 +153,21 @@ def test_quantum_dimensions():
         assert all(S4.rows[i][0] / S4.rows[0][0] == 1 for i in range(S4.n))
 
 
-def test_matrix_inverse():
-    for c in (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(47, 2)):
-        T, S = character_rep(c)
-        assert (S * S.inv()).is_identity()
-        assert (T * T.inv()).is_identity()
-    with pytest.raises(ZeroDivisionError):
-        CycMatrix([[1, 2], [2, 4]]).inv()
+def test_verlinde_matches_inverse_route():
+    # S^-1 as the conjugate transpose gives the fusion that the Gauss-Jordan
+    # inverse gave, at every rank c = 0, 1/2, ..., 48
+    for c in (Fraction(k, 2) for k in range(97)):
+        _, S = character_rep(c)
+        assert verlinde(S) == old_routes.verlinde(S), c
+
+
+def test_verlinde_rejects_non_unitary_matrix():
+    # invertible and symmetric, but S S^* != 1
+    with pytest.raises(ValueError, match="not unitary"):
+        verlinde(CycMatrix([[1, 2], [2, 1]]))
+    _, S = character_rep(1)
+    with pytest.raises(ValueError, match="not unitary"):
+        verlinde(CycMatrix([[x * 2 for x in r] for r in S.rows]))
 
 
 def test_relations_take_five_products(monkeypatch):
