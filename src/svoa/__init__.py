@@ -5,7 +5,7 @@ theory, extremal solutions and lattice theta series."""
 from .cyclo import Cyclo, sqrt2, zeta_pow
 from .qseries import GRID, QSeries, standard_series
 from .modrep import (CycMatrix, FusionTensor, MatrixGroup, character_rep,
-                     fusion_type, generate_group, molien, verlinde)
+                     generate_group, molien, verlinde)
 from .invariants import (MultiPoly, basis_invariants, evaluate_at_characters,
                          monster_polynomial, poly_act, solve_monster_polynomial)
 from .babymonster import baby_character, marginal_polynomial

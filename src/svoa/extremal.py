@@ -40,11 +40,6 @@ for _k in range(1, 16):
     E_NAMES[Fraction(_k, 2)] = "Fermi^%d" % _k
 E_RANKS = frozenset(E_NAMES)
 
-# ranks where the shadow passes and nonexistence rests on the completeness
-# of the known rank-8..16 classification
-L_RANKS = frozenset((Fraction(10), Fraction(11), Fraction(25, 2),
-                     Fraction(13), Fraction(27, 2), Fraction(29, 2)))
-
 
 class ExtremalError(ValueError):
     pass
@@ -280,9 +275,10 @@ def classify(c, cmax=56) -> Verdict:
     """Existence verdict for an extremal self-dual SVOA of rank c.
 
     Ranks in the known list report the standard example; otherwise failed
-    integrality (G) or positivity (N) of the shadow rules the rank out, and
-    the six ranks where the shadow is clean stay conditional on the
-    completeness of the known rank-8..16 classification.
+    integrality (G) or positivity (N) of the shadow rules the rank out.  A
+    clean shadow leaves the rank conditional on the completeness of the
+    known rank-8..16 classification up to c = 16 (every rank up to 8 is a
+    known example), and open above it.
     """
     c = Fraction(c)
     if (2 * c).denominator != 1:
@@ -309,7 +305,7 @@ def classify(c, cmax=56) -> Verdict:
     if args:
         return Verdict(c=c, status="ruled_out", arguments=frozenset(args),
                        shadow=rep, tail_signs=tail)
-    if c in L_RANKS:
+    if c <= 16:  # nonexistence rests on the known rank-8..16 classification
         return Verdict(c=c, status="conditional_L", shadow=rep)
     return Verdict(c=c, status="open", shadow=rep)
 

@@ -12,9 +12,9 @@ Fincke & Pohst 1985).  x -> -x maps block (n, a, m) onto (n, -a mod 1, m),
 so a mirror pair is counted once.  Each count becomes a QSeries, and the
 rest is qseries' arithmetic: a coset's theta is the product of its block
 series, the lattice's the sum over its cosets.  THETA_BUDGET is charged
-first: each block's (state x term) products as if unpruned, each coset
-product by its factors' norm counts.  The coset list is the only
-description of a lattice.
+first, from the blocks' sizes alone: each block's (state x term) products
+as if unpruned, each coset product by its factors' norm counts.  The coset
+list is the only description of a lattice.
 """
 
 from __future__ import annotations
@@ -101,29 +101,39 @@ def lattice_names():
 # -- exact counting ----------------------------------------------------------------
 
 
-def _block_work(terms, n, m, d, norm_max):
+def _block_work(block, d, norm_max):
     """Upper bounds on the (state x term) products of counting a block and
-    on the norms in its count.
+    on the norms in its count, from the block's terms' number and norms
+    alone, without building them.
 
-    After i coordinates there are at most len(terms)^i states, and at most
-    (sum classes) x (norms per class).  For m > 0 there are m classes, and
-    the norms lie in one residue class modulo the gcd of the term norms'
-    differences.  For m = 0 the class is the exact sum s of the k's, which
-    Cauchy-Schwarz on x = k + a confines to |s + i a| <= sqrt(i norm_max)/d;
-    within it the norm is d^2 sum(k^2) plus a constant, and sum(k^2) = s
-    mod 2.  The count is one class, so it has at most `norms` norms.
+    After i coordinates there are at most t^i states, t the number of terms,
+    and at most (sum classes) x (norms per class).  For m > 0 there are m
+    classes, and the norms lie in one residue class modulo the gcd of the
+    term norms' differences, which the first three terms fix, the norms
+    being a quadratic in k; once the state bound stops changing, each
+    coordinate left adds t times it.  For m = 0 the class is the exact sum
+    s of the k's, which Cauchy-Schwarz on x = k + a confines to |s + i a| <=
+    sqrt(i norm_max)/d; within it the norm is d^2 sum(k^2) plus a constant,
+    and sum(k^2) = s mod 2.  The count is one class, so it has at most
+    `norms` norms.
     """
-    t = len(terms)
+    n, a, m = block
+    da, r = int(d * a), isqrt(norm_max)
+    t = (r - da) // d + (r + da) // d + 1
     if m:
-        g = gcd(*(y2 - terms[0][1] for _, y2 in terms))  # 0 for at most one term
+        k0 = -((r + da) // d)
+        y = [(d * k + da) ** 2 for k in range(k0, k0 + min(t, 3))]
+        g = gcd(*(y2 - y[0] for y2 in y))  # 0 for at most one term
         norms = norm_max // g + 1 if g else 1
     else:
         norms = norm_max // (2 * d * d) + 1
     work, states = 0, 1
     for i in range(1, n + 1):
         work += t * states
-        classes = m or (2 * isqrt(i * norm_max) + 2) // d + 1
-        states = min(states * t, classes * norms)
+        new = min(states * t, (m or (2 * isqrt(i * norm_max) + 2) // d + 1) * norms)
+        if m and new == states:
+            return work + (n - i) * t * states, norms
+        states = new
     return work, norms
 
 
@@ -184,10 +194,10 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     q^5) block by block.  Each mirror class's count becomes one QSeries
     (index 24 x.x; a block with a norm off the 1/48 grid raises GridError),
     a coset's theta is the product of its block series and the lattice's
-    their sum, cut at trunc.  Before any block is counted, the bounds on
-    every block's (state x term) products and on every coset product (norms
-    of the running product x norms of the block) are summed, and past
-    THETA_BUDGET EnumerationBudgetError is raised.  The Leech entry
+    their sum, cut at trunc.  Before any block's terms are built, the
+    bounds on every block's (state x term) products and on every coset
+    product (norms of the running product x norms of the block) are summed,
+    and past THETA_BUDGET EnumerationBudgetError is raised.  The Leech entry
     dispatches to its closed form, refused past qseries.SERIES_BUDGET.
     """
     if trunc is None:
@@ -200,20 +210,18 @@ def theta_series(L: Lattice, trunc=None) -> QSeries:
     d2 = d * d
     # q^(x.x/2) sits at grid index 24 x.x, which must stay below trunc
     norm_max = d2 * (trunc - 1) // 24
-    terms = {block: _block_terms(block[1], d, norm_max)
-             for coset in L.cosets for block in coset}
     # charged before any counting: every block (a mirror pair's both), and
     # every coset product at the product of its factors' norm bounds
-    bounds = {(n, a, m): _block_work(t, n, m, d, norm_max) for (n, a, m), t in terms.items()}
+    bounds = {block: _block_work(block, d, norm_max) for coset in L.cosets for block in coset}
     work = sum(w for w, _ in bounds.values())
     work += sum(prod(bounds[b][1] for b in c[:i + 1]) for c in L.cosets for i in range(len(c)))
     if work > THETA_BUDGET:
         raise EnumerationBudgetError("theta count needs up to %d products, over "
                                      "the budget of %d" % (work, THETA_BUDGET))
     series = {}
-    for block, t in terms.items():
+    for block in bounds:
         if _mirror(block) not in series:
-            counts = _block_counts(block, t, d, norm_max)
+            counts = _block_counts(block, _block_terms(block[1], d, norm_max), d, norm_max)
             if any(norm * 24 % d2 for norm in counts):
                 raise GridError("block (%d, %s, %d) has norms off the exponent grid" % block)
             series[_mirror(block)] = QSeries({norm * 24 // d2: c for norm, c in counts.items()},

@@ -1,13 +1,14 @@
 """Finite matrix representations of the modular group on character vectors,
 Molien series, and Verlinde fusion.
 
-The fusion type of the rank c in (1/2)Z selects one of three
-representations on the span of the even/odd/twisted characters: a 3x3 one
-for c in Z+1/2 (type a) and two 4x4 families for odd (b) and even (c)
-integer c.  T acts diagonally by the phases e^{2 pi i(-c/24 + h)}, S by
-the displayed orthogonal matrix.  In the 4x4 S-matrices the twisted block
-carries S_22 = e^(-pi i c/2)/2, the sign that the modular relations S^4 = 1
-and S^2 = (ST)^3 (which give (ST)^6 = 1) select; every rank checks them.
+At rank c in (1/2)Z the modular group acts on the span of the even, odd
+and twisted characters, whose sectors have weights 0, 1/2 and c/8: T
+diagonally by the phases e(h - c/24), e(x) = e^(2 pi i x).  For c in
+Z+1/2, S is the 3x3 Ising matrix.  At integer rank the twisted sector
+splits in two, and S is read off the discriminant form of D_c on its
+cosets 0, v, s, c' (weights 0, 1/2, c/8, c/8) as 1/2 e(-(x, y)), the Weil
+representation (Scheithauer 2009).  Every rank checks the modular
+relations S^4 = 1 and S^2 = (ST)^3, which give (ST)^6 = 1.
 
 The modular layer computes on plain integers through one ring map:
 zeta_48 -> X = 2^B and 1/d -> d^-1 sends Q(zeta_48), away from the primes
@@ -90,42 +91,33 @@ def _phase(e: Fraction) -> Cyclo:
     return zeta_pow(int(e48))
 
 
-def fusion_type(c) -> str:
-    """Fusion-ring case of the even part: 'a' (Ising) for c in Z+1/2,
-    'b' (Z/4) for odd c, 'c' (Z/2 x Z/2) for even c."""
-    c = Fraction(c)
-    if (2 * c).denominator != 1:
-        raise ValueError("rank %s is not half-integral" % c)
-    if c.denominator == 2:
-        return "a"
-    return "b" if int(c) % 2 else "c"
-
-
 def character_rep(c) -> tuple[CycMatrix, CycMatrix]:
     """Return (T, S) acting on the character span for rank c in (1/2)Z.
 
-    The fusion type picks the representation: 'a' the 3x3 matrices, 'b'
-    the 4x4 family with +-i/2 entries, 'c' the 4x4 family with +-1/2
-    entries, S_22 = e^(-pi i c/2)/2.  ArithmeticError if S^4 = 1 or
-    S^2 = (ST)^3 fails.
+    T = diag(e(h - c/24)) over the sectors' weights h = 0, 1/2, c/8, with
+    c/8 twice at integer rank.  For c in Z+1/2, S is the 3x3 Ising matrix;
+    at integer rank it is 1/2 e(-(x, y)) on D_c's discriminant cosets 0, v,
+    s, c' (the Weil representation), with (v, s) = (v, c') = 1/2, (s, s) =
+    (c', c') = c/4, (s, c') = (c - 2)/4 and every other pairing 0.
+    ValueError off (1/2)Z, ArithmeticError if S^4 = 1 or S^2 = (ST)^3 fails.
     """
     c = Fraction(c)
-    kind = fusion_type(c)
-    half = Fraction(1, 2)  # also the weight h of the odd sector
-    diag = [_phase(-c / 24), _phase(-c / 24 + half), _phase(-c / 24 + c / 8)]
-    s2i = sqrt2() * half  # 1/sqrt(2)
-    if kind == "a":
-        T = _diag_matrix(diag)
+    if (2 * c).denominator != 1:
+        raise ValueError("rank %s is not half-integral" % c)
+    half = Fraction(1, 2)
+    weights = (0, half, c / 8) if c.denominator == 2 else (0, half, c / 8, c / 8)
+    T = _diag_matrix([_phase(h - c / 24) for h in weights])
+    if c.denominator == 2:
+        s2i = sqrt2() * half  # 1/sqrt(2)
         S = CycMatrix([[half, half, s2i],
                        [half, half, -s2i],
                        [s2i, -s2i, cyc_zero()]])
-    else:  # integer rank: duplicated twisted eigenvalue
-        T = _diag_matrix(diag + [diag[2]])
-        u = zeta_pow(-12 * int(c)) * -half  # -S_22
-        S = CycMatrix([[half, half, half, half],
-                       [half, half, -half, -half],
-                       [half, -half, -u, u],
-                       [half, -half, u, -u]])
+    else:
+        form = [[0, 0, 0, 0],
+                [0, 0, half, half],
+                [0, half, c / 4, (c - 2) / 4],
+                [0, half, (c - 2) / 4, c / 4]]
+        S = CycMatrix([[_phase(-b) * half for b in row] for row in form])
     _check_relations(S, T)
     return T, S
 

@@ -8,16 +8,20 @@ direct Lagrange-Buermann coefficient, the inverse loop that recurrence took
 over, the inverse-then-binary negative powers, the separate pow_rational and
 the prefactor-free eta quotient behind svoa.qseries's one `**`, the padded
 catalog and lattice-character routes behind exact truncation, the sign
-search behind svoa.modrep's closed-form S_22, the PLU group action behind svoa.invariants.poly_act's balanced
-split, the whole-matrix breadth-first closure, the per-element minors tally and the per-class
+search behind svoa.modrep's closed-form S_22, the typed 4x4 S and its
+fusion-type letters behind the discriminant form S is now read off, the
+PLU group action behind svoa.invariants.poly_act's balanced split, the
+whole-matrix breadth-first closure, the per-element minors tally and the per-class
 Molien sums behind svoa.modrep's closure on row orbits, its classes keyed
 by determinant and lower half, and its once-per-degree fold, the
 Q(zeta_48) Molien recurrence behind svoa.modrep's integer ring map, the
 closure and class tally by `dot` on interned entries behind the same map's
 images, the Gauss-Jordan inverse behind svoa.modrep.verlinde's conjugate
 transpose, the dict-backed q-series behind svoa.qseries's slot form, and the
-unpruned block count and the dict convolution of block counts behind
-svoa.lattices's Cauchy-Schwarz pruning and its product of block series.
+unpruned block count, the block charge stepped through built term lists
+and the dict convolution of block counts behind svoa.lattices's
+Cauchy-Schwarz pruning, its charge from the terms' number and first norms,
+and its product of block series.
 
 `Dense` is Q(zeta_48) arithmetic one operation at a time: a dense integer
 16-tuple over a denominator, reduced and gcd-normalized after every sum and
@@ -32,7 +36,7 @@ results are compared through `Cyclo.num` and `Cyclo.den`.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, floor, gcd, lcm
+from math import comb, factorial, floor, gcd, isqrt, lcm
 
 from helpers import Element, element_dets
 from svoa.cyclo import Cyclo, cyc_one, cyc_zero, dot, power, sqrt2, zeta_pow
@@ -41,7 +45,7 @@ from svoa.extremal import (SVOA, VOA, WORK_BUDGET, ExtremalError,
                            _kind)
 from svoa.invariants import NVARS, MultiPoly, _permute
 from svoa.linalg import gauss_jordan
-from svoa.modrep import CycMatrix, FusionTensor, _diag_matrix, _phase, fusion_type
+from svoa.modrep import CycMatrix, FusionTensor, _check_relations, _diag_matrix, _phase
 from svoa.lattices import _block_terms, theta_series
 from svoa.qseries import (DEFAULT_TRUNC, GRID, E4, GridError, QSeries, _coeff_div,
                           cbrt_j, chi_half, cusp1_chi_half, theta_Z, theta_Z_half,
@@ -1284,7 +1288,47 @@ def eta_quotient(exps, trunc) -> QSeries:
     return num * miller_inv(den)
 
 
-# -- the sign search that the closed-form S_22 replaced ---------------------------
+# -- the typed 4x4 S and the sign search behind svoa.modrep's discriminant form --
+
+
+def fusion_type(c) -> str:
+    """Fusion-ring case of the even part: 'a' (Ising) for c in Z+1/2,
+    'b' (Z/4) for odd c, 'c' (Z/2 x Z/2) for even c."""
+    c = Fraction(c)
+    if (2 * c).denominator != 1:
+        raise ValueError("rank %s is not half-integral" % c)
+    if c.denominator == 2:
+        return "a"
+    return "b" if int(c) % 2 else "c"
+
+
+def typed_character_rep(c) -> tuple[CycMatrix, CycMatrix]:
+    """Return (T, S) acting on the character span for rank c in (1/2)Z.
+
+    The fusion type picks the representation: 'a' the 3x3 matrices, 'b'
+    the 4x4 family with +-i/2 entries, 'c' the 4x4 family with +-1/2
+    entries, S_22 = e^(-pi i c/2)/2.  ArithmeticError if S^4 = 1 or
+    S^2 = (ST)^3 fails.
+    """
+    c = Fraction(c)
+    kind = fusion_type(c)
+    half = Fraction(1, 2)  # also the weight h of the odd sector
+    diag = [_phase(-c / 24), _phase(-c / 24 + half), _phase(-c / 24 + c / 8)]
+    s2i = sqrt2() * half  # 1/sqrt(2)
+    if kind == "a":
+        T = _diag_matrix(diag)
+        S = CycMatrix([[half, half, s2i],
+                       [half, half, -s2i],
+                       [s2i, -s2i, cyc_zero()]])
+    else:  # integer rank: duplicated twisted eigenvalue
+        T = _diag_matrix(diag + [diag[2]])
+        u = zeta_pow(-12 * int(c)) * -half  # -S_22
+        S = CycMatrix([[half, half, half, half],
+                       [half, half, -half, -half],
+                       [half, -half, -u, u],
+                       [half, -half, u, -u]])
+    _check_relations(S, T)
+    return T, S
 
 
 def _relations_hold(S, T) -> bool:
@@ -1326,7 +1370,7 @@ def character_rep(c):
     raise ValueError("no sign variant satisfies the modular relations at c=%s" % c)
 
 
-# -- the unpruned count and the dict convolution behind svoa.lattices's block series --
+# -- the unpruned count, the term-list charge and the dict convolution -------------
 
 
 def _block_counts(block, terms, norm_max):
@@ -1352,6 +1396,33 @@ def _block_counts(block, terms, norm_max):
         states = new
     target = int(-n * a)
     return states.get(target % m if m else target, {})
+
+
+def block_work(terms, n, m, d, norm_max):
+    """Upper bounds on the (state x term) products of counting a block and
+    on the norms in its count, from the block's built `_block_terms`: every
+    term's norm enters the gcd, and every coordinate steps the state bound.
+
+    After i coordinates there are at most len(terms)^i states, and at most
+    (sum classes) x (norms per class).  For m > 0 there are m classes, and
+    the norms lie in one residue class modulo the gcd of the term norms'
+    differences.  For m = 0 the class is the exact sum s of the k's, which
+    Cauchy-Schwarz on x = k + a confines to |s + i a| <= sqrt(i norm_max)/d;
+    within it the norm is d^2 sum(k^2) plus a constant, and sum(k^2) = s
+    mod 2.  The count is one class, so it has at most `norms` norms.
+    """
+    t = len(terms)
+    if m:
+        g = gcd(*(y2 - terms[0][1] for _, y2 in terms))  # 0 for at most one term
+        norms = norm_max // g + 1 if g else 1
+    else:
+        norms = norm_max // (2 * d * d) + 1
+    work, states = 0, 1
+    for i in range(1, n + 1):
+        work += t * states
+        classes = m or (2 * isqrt(i * norm_max) + 2) // d + 1
+        states = min(states * t, classes * norms)
+    return work, norms
 
 
 def _mul_truncated(x, y, norm_max):

@@ -15,7 +15,6 @@ from svoa.extremal import (E_RANKS, ExtremalError, NotDecomposableError,
                            decompose_character, extremal_svoa, extremal_voa,
                            hw_enumerator, orbifold_character, shadow)
 from svoa.lattices import lattice_catalog, theta_series
-from svoa.modrep import fusion_type
 from svoa.qseries import GRID, QSeries, E4, delta, j_function, vacuum
 
 
@@ -386,7 +385,7 @@ def test_extremal_existence_ranks_no_low_states():
             assert h.P.get(F(1), 0) == 0
 
 
-# -- orbifold and fusion type ------------------------------------------------------------
+# -- orbifold ----------------------------------------------------------------------------
 
 
 def test_orbifold_moonshine():
@@ -417,10 +416,3 @@ def test_orbifold_matches_oracle(name):
         new = orbifold_character(theta, L.dim)
         old = old_routes.orbifold_character(theta, L.dim)
         assert (new.coeffs, new.trunc) == (old.coeffs, old.trunc), (name, order)
-
-
-def test_fusion_type():
-    assert fusion_type(F(47, 2)) == "a"
-    assert fusion_type(1) == "b"
-    assert fusion_type(24) == "c"
-    assert fusion_type(F(1, 2)) == "a"

@@ -362,9 +362,27 @@ def test_block_bound_covers_the_count(name):
                 states = {((z + k) % m if m else z + k, y + y2)
                           for z, y in states for k, y2 in terms if y + y2 <= norm_max}
             target = int(-n * a) % m if m else int(-n * a)
-            bound, norms = _block_work(terms, n, m, d, norm_max)
+            bound, norms = _block_work((n, a, m), d, norm_max)
             assert bound >= work, (n, a, m, trunc)
             assert norms >= len({y for z, y in states if z == target}), (n, a, m, trunc)
+
+
+def test_block_work_matches_term_list_route():
+    # the charge from the terms' number and first three norms, stopped once
+    # the state bound stops changing, equals the charge stepped through the
+    # built term list at every coordinate
+    cases = 0
+    for d in (1, 2, 4, 16):
+        for j in sorted({0, 1, d // 4, d // 2, d - 1} - {d}):
+            a = F(j, d)
+            for norm_max in (0, 1, 2, 3, 4, 7, 24, 143, 1000, 5749, 100000):
+                terms = _block_terms(a, d, norm_max)
+                for m in (0, 1, 2, 3, 4, 16):
+                    for n in (1, 2, 3, 4, 7, 8, 16, 40):
+                        assert _block_work((n, a, m), d, norm_max) == \
+                            old_routes.block_work(terms, n, m, d, norm_max), (n, a, m, d, norm_max)
+                        cases += 1
+    assert cases > 5000
 
 
 def _products(count, *args):
@@ -478,8 +496,7 @@ def test_charge_covers_the_coset_products(monkeypatch, name):
     monkeypatch.setattr(QSeries, "__mul__", counted)
     for trunc in (1, 7, 30, 144, 482):
         norm_max = d * d * (trunc - 1) // 24
-        charged = sum(_block_work(_block_terms(a, d, norm_max), n, m, d, norm_max)[0]
-                      for n, a, m in blocks)
+        charged = sum(_block_work(block, d, norm_max)[0] for block in blocks)
         monkeypatch.setattr(lattices, "THETA_BUDGET", -1)
         with pytest.raises(EnumerationBudgetError) as refusal:
             theta_series(L, trunc)
@@ -526,6 +543,19 @@ def test_large_dimension_is_fast():
 def test_huge_order_fails_fast(capsys):
     start = time.perf_counter()
     assert main(["--order", "100000", "theta", "--lattice", "A15+"]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^9 coordinates, too many to step through one by one
+    ["theta", "--lattice", "Z1000000000", "--order", "1"],
+    # 2.8M terms, too many to build before the charge
+    ["--order", "1000000000000", "theta", "--lattice", "Z1"],
+])
+def test_huge_dimension_or_order_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 1
     assert "budget" in capsys.readouterr().err
     assert time.perf_counter() - start < 0.1
 

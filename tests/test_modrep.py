@@ -10,9 +10,10 @@ import old_routes
 from helpers import element_dets
 from svoa import modrep
 from svoa.cyclo import Cyclo, cyc_one, dot, power, sqrt2, zeta_pow
+from svoa.lattices import lattice_catalog, theta_series
 from svoa.modrep import (CycMatrix, MatrixGroup, _check_relations, _diag_matrix,
-                         char_classes, character_rep, generate_group, molien,
-                         verlinde)
+                         _phase, char_classes, character_rep, generate_group,
+                         molien, verlinde)
 from svoa.qseries import GRID
 
 
@@ -212,6 +213,43 @@ def test_closed_form_sign_matches_sign_search(c):
                 flip[i][j] = -flip[i][j]
         with pytest.raises(ArithmeticError, match="modular relations"):
             _check_relations(CycMatrix(flip), T)
+
+
+FORM_RANKS = [Fraction(n, 2) for n in range(97)] + [1000, 1001, Fraction(2001, 2)]
+
+
+@pytest.mark.parametrize("c", FORM_RANKS)
+def test_discriminant_form_matches_typed_matrices(c):
+    # T from the weights and S from D_c's form equal the hand-typed matrices
+    T, S = character_rep(c)
+    oldT, oldS = old_routes.typed_character_rep(c)
+    assert (T.rows, S.rows) == (oldT.rows, oldS.rows)
+
+
+def test_equal_spinor_rows_break_the_relations():
+    # with (s, c') = c/4 the rows of s and c' coincide, and S^4 = 1 fails
+    for c in range(49):
+        T, S = character_rep(c)
+        rows = [list(r) for r in S.rows]
+        rows[2][3] = rows[3][2] = rows[2][2]
+        assert rows[2] == rows[3]
+        with pytest.raises(ArithmeticError, match="modular relations"):
+            _check_relations(CycMatrix(rows), T)
+
+
+@pytest.mark.parametrize("c", range(4, 25, 4))
+def test_coset_weights_are_the_weights_of_T(c):
+    # D_c+ adds the spinor coset s, Z^c the vector coset v: their lowest
+    # vectors sit at q^(c/8) and q^(1/2), the weights T carries
+    trunc = (c // 8 + 2) * GRID
+    D = theta_series(lattice_catalog("D%d" % c), trunc)
+    spinor = theta_series(lattice_catalog("D%d+" % c), trunc) - D
+    vector = theta_series(lattice_catalog("Z%d" % c), trunc) - D
+    h_v, h_s = Fraction(vector.lead, GRID), Fraction(spinor.lead, GRID)
+    assert (h_v, h_s) == (Fraction(1, 2), Fraction(c, 8))
+    T, _ = character_rep(c)
+    assert [T.rows[k][k] for k in range(4)] == [_phase(h - Fraction(c, 24))
+                                                for h in (0, h_v, h_s, h_s)]
 
 
 # -- the fused kernel against the per-operation routes ---------------------------
